@@ -1,5 +1,7 @@
 """End-to-end checks of every subcommand on a reduced-size configuration."""
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -131,6 +133,22 @@ class TestGenerate:
         assert main(["generate", "--config", str(workspace["config"]),
                      "--output", str(override)]) == 0
         assert (override / "dataset_ris_on.bin").exists()
+
+
+DESK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk.json"
+
+# sha256 of `trgr generate --config configs/desk.json`; refactors of the
+# channel, gait or dataset code must keep these bytes.
+DESK_DATASET_SHA256 = {
+    "dataset_ris_on.bin": "38584e2a9d5f7f67901b4bb1d24e0204cf2ce310ceadc92042977c5df718a8eb",
+    "dataset_ris_off.bin": "324277dc7b6785452dd019c94b35a1f6481bfa799ee2a8686d256c41596105d2",
+}
+
+
+def test_desk_datasets_match_golden_digests(tmp_path):
+    assert main(["generate", "--config", str(DESK_CONFIG), "--output", str(tmp_path)]) == 0
+    for name, digest in DESK_DATASET_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 class TestTrain:
