@@ -6,118 +6,4 @@ tuned by a greedy line-flip search.  Walking subjects modulate the channel;
 the resulting CSI magnitude frames feed a small residual CNN that learns to
 tell subjects apart.
 """
-from .channel import (
-    DirectChannel,
-    MultipathComponent,
-    NoiseSpec,
-    RisChannel,
-    SubcarrierGrid,
-    channel_from_json,
-    channel_to_json,
-    combined_taps,
-    effective_gain,
-    frequency_response,
-    received_signal,
-    snr,
-)
-from .codebook import Codebook, line_flip, phase_matrix
-from .gait import (
-    MAX_DOPPLER_HZ,
-    VACANT,
-    CsiRecording,
-    ScenarioConfig,
-    SubjectProfile,
-    default_profiles,
-    default_scenario,
-    dynamic_coupling,
-    dynamic_taps,
-    generate_dataset,
-    leaky_direct_channel,
-    render_recording,
-    rich_scattering_ris,
-)
-from .pipeline import (
-    DatasetSplit,
-    FilterSpec,
-    denoise_recording,
-    load_dataset,
-    moving_average,
-    normalize,
-    save_dataset,
-    split_dataset,
-)
-from .rcnn import (
-    Metrics,
-    RcnnModel,
-    TrainConfig,
-    evaluate,
-    load_model,
-    save_model,
-    shape_chain,
-    train,
-)
-from .ris import (
-    ObjectiveProbe,
-    OptimizationTrace,
-    TraceStep,
-    brute_force,
-    optimize,
-    snr_probe,
-)
-from .seeds import mix_seeds
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Codebook",
-    "CsiRecording",
-    "DatasetSplit",
-    "DirectChannel",
-    "FilterSpec",
-    "MAX_DOPPLER_HZ",
-    "Metrics",
-    "MultipathComponent",
-    "NoiseSpec",
-    "ObjectiveProbe",
-    "OptimizationTrace",
-    "RcnnModel",
-    "RisChannel",
-    "ScenarioConfig",
-    "SubcarrierGrid",
-    "SubjectProfile",
-    "TraceStep",
-    "TrainConfig",
-    "VACANT",
-    "brute_force",
-    "channel_from_json",
-    "channel_to_json",
-    "combined_taps",
-    "default_profiles",
-    "default_scenario",
-    "denoise_recording",
-    "dynamic_coupling",
-    "dynamic_taps",
-    "effective_gain",
-    "evaluate",
-    "frequency_response",
-    "generate_dataset",
-    "leaky_direct_channel",
-    "line_flip",
-    "load_dataset",
-    "load_model",
-    "mix_seeds",
-    "moving_average",
-    "normalize",
-    "optimize",
-    "phase_matrix",
-    "received_signal",
-    "render_recording",
-    "rich_scattering_ris",
-    "save_dataset",
-    "save_model",
-    "shape_chain",
-    "snr",
-    "snr_probe",
-    "split_dataset",
-    "train",
-]

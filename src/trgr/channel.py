@@ -6,17 +6,17 @@ The channel impulse response is a tapped delay line
            + sum_n a_n b_n e^{j(phi_n + theta_n)} delta(tau - tau_n)   (RIS taps)
 
 where theta_n is the 1-bit phase shift applied by RIS element n and the
-amplitude shift b_n is fixed at 1.  The narrowband received-signal model
-y = h Phi H x + w and the SNR rho = |h Phi H|^2 / sigma^2 use the same
-per-element channels without the delay terms.
+amplitude shift b_n is fixed at 1.  The narrowband effective gain h Phi H
+and the SNR rho = |h Phi H|^2 / sigma^2 use the same per-element channels
+without the delay terms.
 
-All operations are pure functions; noise is drawn from explicitly seeded
-generators, so everything here is safe to call concurrently.
+All operations are pure functions of immutable inputs, so everything here is
+safe to call concurrently.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,41 +25,36 @@ from .codebook import Codebook, phase_matrix
 TWO_PI = 2.0 * math.pi
 
 
-def _wrap_phase(phase: float) -> float:
-    """Normalize a phase to [0, 2*pi)."""
-    p = math.fmod(phase, TWO_PI)
-    return p + TWO_PI if p < 0.0 else p
+@dataclass(frozen=True, eq=False)
+class Taps:
+    """Taps of the impulse response as three equal-length read-only arrays.
 
+    Amplitudes and delays must be finite and >= 0; phases are wrapped into
+    [0, 2*pi).  An empty Taps (three zero-length arrays) is a valid channel.
+    """
 
-@dataclass(frozen=True)
-class MultipathComponent:
-    """One (amplitude, phase, delay) tap of the impulse response."""
-
-    amplitude: float
-    phase: float
-    delay: float
+    amplitude: np.ndarray
+    phase: np.ndarray
+    delay: np.ndarray
 
     def __post_init__(self):
-        if not (math.isfinite(self.amplitude) and math.isfinite(self.phase) and math.isfinite(self.delay)):
+        amp, phase, delay = (np.array(v, dtype=np.float64)
+                             for v in (self.amplitude, self.phase, self.delay))
+        if amp.ndim != 1 or not amp.shape == phase.shape == delay.shape:
+            raise ValueError(f"tap fields must be 1-D with equal length, got "
+                             f"{amp.shape}, {phase.shape}, {delay.shape}")
+        if not (np.all(np.isfinite(amp)) and np.all(np.isfinite(phase))
+                and np.all(np.isfinite(delay))):
             raise ValueError("tap fields must be finite")
-        if self.amplitude < 0:
-            raise ValueError(f"tap amplitude must be >= 0, got {self.amplitude}")
-        if self.delay < 0:
-            raise ValueError(f"tap delay must be >= 0, got {self.delay}")
-        object.__setattr__(self, "phase", _wrap_phase(self.phase))
-
-
-TapList = list[MultipathComponent]
-
-
-@dataclass(frozen=True)
-class DirectChannel:
-    """Tx -> Rx multipath that does not pass through the RIS (may be empty)."""
-
-    taps: tuple[MultipathComponent, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "taps", tuple(self.taps))
+        if np.any(amp < 0):
+            raise ValueError(f"tap amplitudes must be >= 0, got {amp.min()}")
+        if np.any(delay < 0):
+            raise ValueError(f"tap delays must be >= 0, got {delay.min()}")
+        phase = np.fmod(phase, TWO_PI)
+        phase[phase < 0.0] += TWO_PI
+        for name, val in (("amplitude", amp), ("phase", phase), ("delay", delay)):
+            val.flags.writeable = False
+            object.__setattr__(self, name, val)
 
 
 class RisChannel:
@@ -70,9 +65,9 @@ class RisChannel:
     The per-element amplitude shift is fixed at 1.
     """
 
-    __slots__ = ("tx_to_ris", "ris_to_rx", "path_delays", "amplitude_shift")
+    __slots__ = ("tx_to_ris", "ris_to_rx", "path_delays")
 
-    def __init__(self, tx_to_ris, ris_to_rx, path_delays, amplitude_shift: float = 1.0):
+    def __init__(self, tx_to_ris, ris_to_rx, path_delays):
         h_in = np.asarray(tx_to_ris, dtype=np.complex128)
         h_out = np.asarray(ris_to_rx, dtype=np.complex128)
         delays = np.asarray(path_delays, dtype=np.float64)
@@ -81,8 +76,6 @@ class RisChannel:
                 f"tx_to_ris, ris_to_rx and path_delays must be 1-D with equal length, got "
                 f"{h_in.shape}, {h_out.shape}, {delays.shape}"
             )
-        if amplitude_shift != 1.0:
-            raise ValueError("amplitude shift is fixed at 1")
         if not (np.all(np.isfinite(h_in)) and np.all(np.isfinite(h_out))):
             raise ValueError("element gains must be finite")
         if np.any(delays < 0) or not np.all(np.isfinite(delays)):
@@ -90,7 +83,6 @@ class RisChannel:
         for name, val in (("tx_to_ris", h_in), ("ris_to_rx", h_out), ("path_delays", delays)):
             val.flags.writeable = False
             object.__setattr__(self, name, val)
-        object.__setattr__(self, "amplitude_shift", 1.0)
 
     def __setattr__(self, name, value):
         raise AttributeError("RisChannel is immutable")
@@ -138,7 +130,7 @@ class SubcarrierGrid:
         return self.center_frequency - self.bandwidth / 2.0 + k * self.bandwidth / (self.count - 1)
 
 
-def combined_taps(direct: DirectChannel, ris: RisChannel, codebook: Codebook) -> TapList:
+def combined_taps(direct: Taps, ris: RisChannel, codebook: Codebook) -> Taps:
     """Direct taps followed by one tap per RIS element under the given codebook.
 
     RIS tap n has amplitude |tx_to_ris[n]| * |ris_to_rx[n]|, phase
@@ -148,24 +140,17 @@ def combined_taps(direct: DirectChannel, ris: RisChannel, codebook: Codebook) ->
     thetas = phase_matrix(codebook)
     if thetas.shape[0] != ris.n_elements:
         raise ValueError(f"codebook has {thetas.shape[0]} elements, RIS channel has {ris.n_elements}")
-    taps = list(direct.taps)
-    amps = np.abs(ris.tx_to_ris) * np.abs(ris.ris_to_rx) * ris.amplitude_shift
-    phases = np.angle(ris.tx_to_ris) + np.angle(ris.ris_to_rx) + thetas
-    for n in range(ris.n_elements):
-        taps.append(MultipathComponent(float(amps[n]), float(phases[n]), float(ris.path_delays[n])))
-    return taps
+    return Taps(
+        np.concatenate([direct.amplitude, np.abs(ris.tx_to_ris) * np.abs(ris.ris_to_rx)]),
+        np.concatenate([direct.phase, np.angle(ris.tx_to_ris) + np.angle(ris.ris_to_rx) + thetas]),
+        np.concatenate([direct.delay, ris.path_delays]),
+    )
 
 
-def frequency_response(taps: TapList, grid: SubcarrierGrid) -> np.ndarray:
+def frequency_response(taps: Taps, grid: SubcarrierGrid) -> np.ndarray:
     """Per-subcarrier response H[k] = sum_i a_i e^{j phi_i} e^{-j 2 pi f_k tau_i}."""
-    freqs = grid.frequencies()
-    if not taps:
-        return np.zeros(grid.count, dtype=np.complex128)
-    amps = np.array([t.amplitude for t in taps])
-    phases = np.array([t.phase for t in taps])
-    delays = np.array([t.delay for t in taps])
-    gains = amps * np.exp(1j * phases)
-    resp = gains @ np.exp(-1j * TWO_PI * np.outer(delays, freqs))
+    gains = taps.amplitude * np.exp(1j * taps.phase)
+    resp = gains @ np.exp(-1j * TWO_PI * np.outer(taps.delay, grid.frequencies()))
     if not np.all(np.isfinite(resp)):
         raise ValueError("non-finite frequency response")
     return resp
@@ -179,44 +164,8 @@ def effective_gain(ris: RisChannel, codebook: Codebook) -> complex:
     return complex(np.sum(ris.ris_to_rx * np.exp(1j * thetas) * ris.tx_to_ris))
 
 
-def received_signal(ris: RisChannel, codebook: Codebook, x: complex = 1.0 + 0.0j,
-                    noise: NoiseSpec | None = None) -> complex:
-    """y = (h Phi H) x + w with w drawn from the seeded AWGN spec."""
-    y = effective_gain(ris, codebook) * x
-    if noise is not None and noise.variance > 0:
-        rng = np.random.default_rng(noise.seed)
-        sigma = math.sqrt(noise.variance / 2.0)
-        y += complex(rng.normal(0.0, sigma) + 1j * rng.normal(0.0, sigma))
-    return y
-
-
 def snr(ris: RisChannel, codebook: Codebook, noise: NoiseSpec) -> float:
     """rho = |h Phi H|^2 / sigma^2."""
     if noise.variance == 0:
         raise ValueError("SNR is undefined for zero noise variance")
     return abs(effective_gain(ris, codebook)) ** 2 / noise.variance
-
-
-def channel_to_json(direct: DirectChannel, ris: RisChannel, noise: NoiseSpec) -> dict:
-    """Serialize a channel description to the interchange document layout."""
-    return {
-        "direct": [[t.amplitude, t.phase, t.delay] for t in direct.taps],
-        "ris": {
-            "tx_to_ris": [[z.real, z.imag] for z in ris.tx_to_ris],
-            "ris_to_rx": [[z.real, z.imag] for z in ris.ris_to_rx],
-            "delays": list(map(float, ris.path_delays)),
-        },
-        "noise": {"variance": noise.variance, "seed": noise.seed},
-    }
-
-
-def channel_from_json(doc: dict) -> tuple[DirectChannel, RisChannel, NoiseSpec]:
-    direct = DirectChannel(tuple(MultipathComponent(a, p, d) for a, p, d in doc["direct"]))
-    r = doc["ris"]
-    ris = RisChannel(
-        np.array([complex(re, im) for re, im in r["tx_to_ris"]], dtype=np.complex128),
-        np.array([complex(re, im) for re, im in r["ris_to_rx"]], dtype=np.complex128),
-        np.asarray(r["delays"], dtype=np.float64),
-    )
-    noise = NoiseSpec(variance=float(doc["noise"]["variance"]), seed=int(doc["noise"]["seed"]))
-    return direct, ris, noise

@@ -54,6 +54,12 @@ def _load_cfg(args) -> ExperimentConfig:
     return cfg
 
 
+def _write_json(path: Path, doc: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
 def _percent(x: float) -> float:
     return round(100.0 * x, 2)
 
@@ -111,9 +117,7 @@ def cmd_optimize(args) -> int:
     report_path = out / "snr_report.json"
     codebook_path.write_text(trace.best_codebook.to_text())
     trace.to_csv(trace_path)
-    with open(report_path, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    _write_json(report_path, report)
     manifest = build_manifest("optimize", cfg, {
         "codebook": codebook_path, "trace": trace_path, "snr_report": report_path,
     }, {"total": time.perf_counter() - t0})
@@ -205,9 +209,7 @@ def cmd_train(args) -> int:
     save_model(model, ckpt_path)
     write_training_log(logs, log_path)
     doc = _metrics_doc(metrics)
-    with open(metrics_path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(metrics_path, doc)
     manifest = build_manifest("train", cfg, {
         "checkpoint": ckpt_path, "training_log": log_path, "metrics": metrics_path,
         "dataset": dataset_path,
@@ -235,9 +237,7 @@ def cmd_evaluate(args) -> int:
     doc = _metrics_doc(metrics)
     doc["split"] = args.split
     metrics_path = cfg.output_dir / "eval_metrics.json"
-    with open(metrics_path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(metrics_path, doc)
     manifest = build_manifest("evaluate", cfg, {
         "metrics": metrics_path, "dataset": dataset_path, "checkpoint": model_path,
     }, {"total": time.perf_counter() - t0})
@@ -278,9 +278,7 @@ def cmd_ablate(args) -> int:
     print(f"accuracy delta {report['accuracy_delta_pp']:+.2f} pp (ris_on - ris_off)")
 
     report_path = cfg.output_dir / "ablation_report.json"
-    with open(report_path, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    _write_json(report_path, report)
     manifest = build_manifest("ablate", cfg, {"ablation_report": report_path},
                               {"total": time.perf_counter() - t0})
     write_manifest(manifest, cfg.output_dir / "manifest_ablate.json")

@@ -23,20 +23,11 @@ AWGN, one row per packet.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (
-    DirectChannel,
-    MultipathComponent,
-    NoiseSpec,
-    RisChannel,
-    SubcarrierGrid,
-    TapList,
-    combined_taps,
-    frequency_response,
-)
+from .channel import NoiseSpec, RisChannel, SubcarrierGrid, Taps, combined_taps, frequency_response
 from .codebook import Codebook
 from .seeds import mix_seeds
 
@@ -79,7 +70,7 @@ class ScenarioConfig:
     """Static environment a recording is rendered in."""
 
     name: str
-    direct: DirectChannel
+    direct: Taps
     ris: RisChannel
     grid: SubcarrierGrid
     noise: NoiseSpec
@@ -173,28 +164,6 @@ def _envelopes(profile: SubjectProfile, psi: np.ndarray, base: np.ndarray,
     return np.maximum(base[None, :] * mod, 0.0)
 
 
-def dynamic_taps(profile: SubjectProfile, t: float, episode_seed: int,
-                 path_count: int = 6) -> TapList:
-    """Human-induced multipath taps at time t seconds into an episode."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    delays, psi, doppler, phi0, base = _gait_draws(profile, episode_seed, path_count)
-    tv = np.array([t])
-    amps = _envelopes(profile, psi, base, tv)[0]
-    phases = phi0 + 2.0 * math.pi * doppler * t
-    return [
-        MultipathComponent(float(amps[p]), float(phases[p]), float(delays[p]))
-        for p in range(path_count)
-    ]
-
-
-def _attenuated_direct(direct: DirectChannel, attenuation_db: float) -> DirectChannel:
-    scale = 10.0 ** (-attenuation_db / 20.0)
-    return DirectChannel(tuple(
-        MultipathComponent(tap.amplitude * scale, tap.phase, tap.delay) for tap in direct.taps
-    ))
-
-
 def dynamic_coupling(scenario: ScenarioConfig) -> float:
     """Strength of the field available to the walker's scattered paths.
 
@@ -213,15 +182,18 @@ def dynamic_coupling(scenario: ScenarioConfig) -> float:
     return leak + aperture
 
 
-def render_recording(profile: SubjectProfile | None, scenario: ScenarioConfig,
-                     codebook: Codebook, episode_seed: int) -> CsiRecording:
-    """Render one episode; pass profile=None for a vacant room."""
+def _static_response(scenario: ScenarioConfig, codebook: Codebook) -> np.ndarray:
+    """Per-subcarrier response of the attenuated wall leak plus the RIS cascade."""
+    scale = 10.0 ** (-scenario.wall_attenuation_db / 20.0)
+    leak = Taps(scenario.direct.amplitude * scale, scenario.direct.phase, scenario.direct.delay)
+    return frequency_response(combined_taps(leak, scenario.ris, codebook), scenario.grid)
+
+
+def _render(profile: SubjectProfile | None, scenario: ScenarioConfig,
+            static_fr: np.ndarray, episode_seed: int) -> CsiRecording:
+    """One episode on top of a precomputed static response."""
     grid = scenario.grid
     T = scenario.packet_count
-    static = combined_taps(_attenuated_direct(scenario.direct, scenario.wall_attenuation_db),
-                           scenario.ris, codebook)
-    static_fr = frequency_response(static, grid)
-
     response = np.broadcast_to(static_fr, (T, grid.count)).copy()
     if profile is not None and scenario.dynamic_path_count > 0:
         t = np.arange(T) / scenario.packets_per_second
@@ -241,17 +213,27 @@ def render_recording(profile: SubjectProfile | None, scenario: ScenarioConfig,
     return CsiRecording(np.abs(response), label, scenario.name, episode_seed)
 
 
+def render_recording(profile: SubjectProfile | None, scenario: ScenarioConfig,
+                     codebook: Codebook, episode_seed: int) -> CsiRecording:
+    """Render one episode; pass profile=None for a vacant room."""
+    return _render(profile, scenario, _static_response(scenario, codebook), episode_seed)
+
+
 def generate_dataset(profiles: list[SubjectProfile], scenario: ScenarioConfig,
                      codebook: Codebook, episodes_per_subject: int,
                      base_seed: int) -> list[CsiRecording]:
-    """episodes_per_subject renders per profile, in profile order, seeded per episode."""
+    """episodes_per_subject renders per profile, in profile order, seeded per episode.
+
+    The static response is the same for every episode, so it is computed once.
+    """
     if episodes_per_subject < 1:
         raise ValueError("episodes_per_subject must be >= 1")
+    static_fr = _static_response(scenario, codebook)
     recordings = []
     for profile in profiles:
         for episode in range(episodes_per_subject):
             seed = mix_seeds(base_seed, profile.subject_id, episode)
-            recordings.append(render_recording(profile, scenario, codebook, seed))
+            recordings.append(_render(profile, scenario, static_fr, seed))
     return recordings
 
 
@@ -275,15 +257,15 @@ def rich_scattering_ris(rows: int, cols: int, seed: int,
     return RisChannel(tx_to_ris, ris_to_rx, np.full(n, transit_delay_s))
 
 
-def leaky_direct_channel(seed: int, tap_count: int = 3) -> DirectChannel:
-    """Weak unaided through-wall taps (before scenario-level attenuation)."""
+def leaky_direct_channel(seed: int, tap_count: int = 3) -> Taps:
+    """Weak unaided through-wall taps (before scenario-level attenuation).
+
+    Draws run tap by tap (amplitude, phase, delay, then the next tap): the
+    (tap_count, 3) draw fills rows in that order.
+    """
     rng = np.random.default_rng(mix_seeds(seed, 0x646972))
-    taps = tuple(
-        MultipathComponent(rng.uniform(0.4, 1.0), rng.uniform(0.0, 2.0 * math.pi),
-                           rng.uniform(0.0, 80e-9))
-        for _ in range(tap_count)
-    )
-    return DirectChannel(taps)
+    draws = rng.uniform((0.4, 0.0, 0.0), (1.0, 2.0 * math.pi, 80e-9), (tap_count, 3))
+    return Taps(draws[:, 0], draws[:, 1], draws[:, 2])
 
 
 def default_scenario(name: str = "desk", subcarriers: int = 256, seed: int = 7,

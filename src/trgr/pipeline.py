@@ -15,6 +15,7 @@ Datasets travel as a little-endian binary container:
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -61,8 +62,6 @@ def _clipped_window_mean(values: np.ndarray, window: int) -> np.ndarray:
 
 def moving_average(series: np.ndarray, spec: FilterSpec) -> np.ndarray:
     """Denoise a 1-D series; output has the same length as the input."""
-    if spec.window % 2 == 0:
-        raise ValueError(f"window must be odd, got {spec.window}")
     arr = np.asarray(series, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-D series, got shape {arr.shape}")
@@ -71,8 +70,6 @@ def moving_average(series: np.ndarray, spec: FilterSpec) -> np.ndarray:
 
 def denoise_recording(rec: CsiRecording, spec: FilterSpec) -> CsiRecording:
     """Moving average along the time axis, independently per subcarrier."""
-    if spec.window % 2 == 0:
-        raise ValueError(f"window must be odd, got {spec.window}")
     return rec.with_magnitudes(_clipped_window_mean(rec.magnitudes, spec.window))
 
 
@@ -131,6 +128,7 @@ def save_dataset(path, recordings: list[CsiRecording]) -> None:
 
 
 def load_dataset(path) -> list[CsiRecording]:
+    """Read a dataset file; a file whose size disagrees with its header is rejected."""
     with open(path, "rb") as f:
         head = f.read(_HEADER.size)
         if len(head) != _HEADER.size:
@@ -140,13 +138,18 @@ def load_dataset(path) -> list[CsiRecording]:
             raise ValueError(f"bad magic {magic!r} in {path}")
         if version != DATASET_VERSION:
             raise ValueError(f"unsupported dataset version {version}")
-        recordings = []
         block = t * s * 4
+        size = os.fstat(f.fileno()).st_size
+        expected = _HEADER.size + count * (_RECORD_HEAD.size + block)
+        if size < expected:
+            raise ValueError(f"truncated dataset {path}: {size} bytes, "
+                             f"{count} records of {t}x{s} need {expected}")
+        if size > expected:
+            raise ValueError(f"{size - expected} trailing bytes after the last record in {path}")
+        recordings = []
         for _ in range(count):
             label, episode_seed = _RECORD_HEAD.unpack(f.read(_RECORD_HEAD.size))
             raw = f.read(block)
-            if len(raw) != block:
-                raise ValueError(f"truncated record in {path}")
             mags = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(t, s)
             recordings.append(CsiRecording(mags, label, "", episode_seed))
     return recordings

@@ -40,7 +40,6 @@ KIND_MAXPOOL = "maxpool"
 KIND_RESIDUAL = "residual"
 KIND_FLATTEN = "flatten"
 KIND_FC = "fc"
-KIND_SOFTMAX = "softmax"
 
 _KIND_CODES = {
     KIND_CONV: 1,
@@ -50,7 +49,6 @@ _KIND_CODES = {
     KIND_RESIDUAL: 5,
     KIND_FLATTEN: 6,
     KIND_FC: 7,
-    KIND_SOFTMAX: 8,
 }
 _CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
 

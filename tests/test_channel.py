@@ -1,22 +1,17 @@
-"""Tap combination, frequency response, narrowband gain/SNR, JSON round trips."""
-import json
+"""Tap arrays, tap combination, frequency response, narrowband gain/SNR."""
 import math
 
 import numpy as np
 import pytest
 
 from trgr.channel import (
-    DirectChannel,
-    MultipathComponent,
     NoiseSpec,
     RisChannel,
     SubcarrierGrid,
-    channel_from_json,
-    channel_to_json,
+    Taps,
     combined_taps,
     effective_gain,
     frequency_response,
-    received_signal,
     snr,
 )
 from trgr.codebook import Codebook
@@ -25,11 +20,11 @@ from trgr.codebook import Codebook
 def two_tap_setup():
     grid = SubcarrierGrid(count=3)
     tau = 1.0 / (2 * 160e6)
-    direct = DirectChannel(taps=(
-        MultipathComponent(1.0, 0.0, 0.0),
-        MultipathComponent(1.0, 0.0, tau),
-    ))
+    direct = Taps([1.0, 1.0], [0.0, 0.0], [0.0, tau])
     return grid, direct
+
+
+NO_TAPS = Taps([], [], [])
 
 
 def small_ris(n: int, seed: int = 3) -> RisChannel:
@@ -41,38 +36,54 @@ def small_ris(n: int, seed: int = 3) -> RisChannel:
     )
 
 
-class TestMultipathComponent:
+class TestTaps:
     def test_phase_wraps_into_principal_range(self):
-        c = MultipathComponent(1.0, 5 * math.pi, 0.0)
-        assert 0.0 <= c.phase < 2 * math.pi
-        assert c.phase == pytest.approx(math.pi)
+        taps = Taps([1.0], [5 * math.pi], [0.0])
+        assert 0.0 <= taps.phase[0] < 2 * math.pi
+        assert taps.phase[0] == pytest.approx(math.pi)
 
     def test_negative_phase_wraps_up(self):
-        c = MultipathComponent(1.0, -math.pi / 2, 0.0)
-        assert c.phase == pytest.approx(1.5 * math.pi)
+        taps = Taps([1.0], [-math.pi / 2], [0.0])
+        assert taps.phase[0] == pytest.approx(1.5 * math.pi)
 
     def test_negative_amplitude_rejected(self):
         with pytest.raises(ValueError):
-            MultipathComponent(-0.1, 0.0, 0.0)
+            Taps([0.5, -0.1], [0.0, 0.0], [0.0, 0.0])
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
-            MultipathComponent(0.5, 0.0, -1e-9)
+            Taps([0.5], [0.0], [-1e-9])
 
     def test_non_finite_rejected(self):
+        for amp, phase, delay in [(math.nan, 0.0, 0.0), (1.0, math.inf, 0.0),
+                                  (1.0, 0.0, math.nan)]:
+            with pytest.raises(ValueError):
+                Taps([amp], [phase], [delay])
+
+    def test_unequal_lengths_rejected(self):
         with pytest.raises(ValueError):
-            MultipathComponent(math.nan, 0.0, 0.0)
+            Taps([1.0, 1.0], [0.0], [0.0, 0.0])
+
+    def test_phase_wrap_matches_scalar_fmod(self):
+        phases = np.array([-7.0, -1e-17, -0.0, 0.0, 1.0, 2 * math.pi, 13.5, -2 * math.pi])
+        taps = Taps(np.ones(phases.size), phases, np.zeros(phases.size))
+        for raw, wrapped in zip(phases, taps.phase):
+            p = math.fmod(raw, 2 * math.pi)
+            assert wrapped == (p + 2 * math.pi if p < 0.0 else p)
+
+    def test_arrays_are_read_only_copies(self):
+        amp = np.array([1.0, 2.0])
+        taps = Taps(amp, [0.0, 0.0], [0.0, 0.0])
+        amp[0] = 9.0
+        assert taps.amplitude[0] == 1.0
+        with pytest.raises(ValueError):
+            taps.delay[0] = 1.0
 
 
 class TestRisChannel:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
             RisChannel(np.ones(3, complex), np.ones(2, complex), np.zeros(3))
-
-    def test_amplitude_shift_fixed_at_one(self):
-        with pytest.raises(ValueError):
-            RisChannel(np.ones(1, complex), np.ones(1, complex), np.zeros(1),
-                       amplitude_shift=0.5)
 
     def test_immutability(self):
         ris = small_ris(2)
@@ -108,22 +119,22 @@ class TestFrequencyResponse:
         # grid frequencies give f*tau of 17.875, 18.125 and 18.375 cycles, hence
         # 2|cos| of 0.875pi, 0.125pi and 0.375pi. Frozen values below.
         grid, direct = two_tap_setup()
-        h = frequency_response(list(direct.taps), grid)
+        h = frequency_response(direct, grid)
         expected = [1.8477590650225735, 1.8477590650225735, 0.7653668647301796]
         assert np.abs(h) == pytest.approx(expected, abs=1e-9)
 
     def test_empty_tap_list_gives_zero_response(self):
         grid = SubcarrierGrid(count=4)
-        assert np.array_equal(frequency_response([], grid), np.zeros(4, complex))
+        assert np.array_equal(frequency_response(NO_TAPS, grid), np.zeros(4, complex))
 
     def test_zero_delay_taps_add_coherently(self):
         grid = SubcarrierGrid(count=4)
-        taps = [MultipathComponent(0.3, 0.0, 0.0), MultipathComponent(0.7, 0.0, 0.0)]
+        taps = Taps([0.3, 0.7], [0.0, 0.0], [0.0, 0.0])
         assert np.allclose(frequency_response(taps, grid), 1.0)
 
     def test_opposite_phases_cancel(self):
         grid = SubcarrierGrid(count=3)
-        taps = [MultipathComponent(0.5, 0.0, 0.0), MultipathComponent(0.5, math.pi, 0.0)]
+        taps = Taps([0.5, 0.5], [0.0, math.pi], [0.0, 0.0])
         assert np.abs(frequency_response(taps, grid)).max() < 1e-12
 
 
@@ -132,14 +143,17 @@ class TestCombinedTaps:
         _, direct = two_tap_setup()
         ris = small_ris(4)
         taps = combined_taps(direct, ris, Codebook.zeros(2, 2))
-        assert len(taps) == 2 + 4
-        assert taps[:2] == list(direct.taps)
-        assert [t.delay for t in taps[2:]] == [30e-9] * 4
+        assert taps.amplitude.shape == (2 + 4,)
+        for field in ("amplitude", "phase", "delay"):
+            assert np.array_equal(getattr(taps, field)[:2], getattr(direct, field))
+        assert taps.delay[2:].tolist() == [30e-9] * 4
+        assert np.allclose(taps.amplitude[2:], np.abs(ris.tx_to_ris * ris.ris_to_rx))
 
     def test_empty_ris_contributes_nothing(self):
         _, direct = two_tap_setup()
         taps = combined_taps(direct, RisChannel.empty(), Codebook.zeros(0, 0))
-        assert taps == list(direct.taps)
+        for field in ("amplitude", "phase", "delay"):
+            assert np.array_equal(getattr(taps, field), getattr(direct, field))
 
     def test_codebook_size_must_match_elements(self):
         _, direct = two_tap_setup()
@@ -147,7 +161,7 @@ class TestCombinedTaps:
             combined_taps(direct, small_ris(4), Codebook.zeros(1, 3))
 
     def test_flipping_a_bit_negates_that_cascade_term(self):
-        direct = DirectChannel(taps=())
+        direct = NO_TAPS
         ris = small_ris(2)
         grid = SubcarrierGrid(count=1)
         h0 = frequency_response(combined_taps(direct, ris, Codebook.zeros(1, 2)), grid)
@@ -158,14 +172,14 @@ class TestCombinedTaps:
         assert h1[0] == pytest.approx(h0[0] - 2 * c0, abs=1e-9)
 
     def test_codebook_bits_map_row_major(self):
-        direct = DirectChannel(taps=())
+        direct = NO_TAPS
         ris = small_ris(4)
         bits = np.zeros((2, 2), dtype=np.uint8)
         bits[0, 1] = 1  # row-major element index 1
         taps = combined_taps(direct, ris, Codebook(bits))
         base = combined_taps(direct, ris, Codebook.zeros(2, 2))
         for i in range(4):
-            delta = (taps[i].phase - base[i].phase) % (2 * math.pi)
+            delta = (taps.phase[i] - base.phase[i]) % (2 * math.pi)
             assert delta == pytest.approx(math.pi if i == 1 else 0.0, abs=1e-12)
 
 
@@ -214,56 +228,3 @@ class TestEffectiveGainAndSnr:
     def test_negative_variance_rejected_at_construction(self):
         with pytest.raises(ValueError):
             NoiseSpec(variance=-1.0)
-
-
-class TestReceivedSignal:
-    def test_noiseless_signal_equals_gain_times_input(self):
-        ris = small_ris(4)
-        cb = Codebook.zeros(2, 2)
-        y = received_signal(ris, cb, x=2.0 + 1.0j, noise=None)
-        assert y == pytest.approx(effective_gain(ris, cb) * (2.0 + 1.0j), abs=1e-12)
-
-    def test_noise_is_reproducible_per_seed(self):
-        ris, cb = small_ris(2), Codebook.zeros(1, 2)
-        spec = NoiseSpec(variance=1.0, seed=42)
-        assert received_signal(ris, cb, noise=spec) == received_signal(ris, cb, noise=spec)
-
-    def test_different_seeds_differ(self):
-        ris, cb = small_ris(2), Codebook.zeros(1, 2)
-        y1 = received_signal(ris, cb, noise=NoiseSpec(variance=1.0, seed=1))
-        y2 = received_signal(ris, cb, noise=NoiseSpec(variance=1.0, seed=2))
-        assert y1 != y2
-
-    def test_noise_sample_matches_seeded_generator(self):
-        ris, cb = small_ris(2), Codebook.zeros(1, 2)
-        spec = NoiseSpec(variance=0.5, seed=9)
-        y = received_signal(ris, cb, noise=spec)
-        rng = np.random.default_rng(9)
-        sigma = math.sqrt(0.5 / 2.0)
-        w = complex(rng.normal(0.0, sigma) + 1j * rng.normal(0.0, sigma))
-        assert y == pytest.approx(effective_gain(ris, cb) + w, abs=1e-12)
-
-    def test_zero_variance_adds_nothing(self):
-        ris, cb = small_ris(2), Codebook.zeros(1, 2)
-        y = received_signal(ris, cb, noise=NoiseSpec(variance=0.0, seed=5))
-        assert y == pytest.approx(effective_gain(ris, cb), abs=1e-15)
-
-
-class TestJsonRoundTrip:
-    def test_round_trip_preserves_everything(self):
-        _, direct = two_tap_setup()
-        ris = small_ris(5)
-        noise = NoiseSpec(variance=0.25, seed=11)
-        doc = channel_to_json(direct, ris, noise)
-        doc = json.loads(json.dumps(doc))  # must survive real JSON text
-        d2, r2, n2 = channel_from_json(doc)
-        assert d2 == direct
-        assert np.allclose(r2.tx_to_ris, ris.tx_to_ris)
-        assert np.allclose(r2.ris_to_rx, ris.ris_to_rx)
-        assert np.array_equal(r2.path_delays, ris.path_delays)
-        assert n2 == noise
-
-    def test_empty_ris_round_trip(self):
-        doc = channel_to_json(DirectChannel(), RisChannel.empty(), NoiseSpec(variance=1.0))
-        _, r2, _ = channel_from_json(json.loads(json.dumps(doc)))
-        assert r2.n_elements == 0

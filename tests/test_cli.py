@@ -177,6 +177,18 @@ class TestTrain:
         assert "ghost.bin" in err
 
 
+    def test_damaged_dataset_fails_with_one_line_error(self, workspace, tmp_path, capsys):
+        data = (workspace["out"] / "dataset_ris_on.bin").read_bytes()
+        damaged = tmp_path / "damaged.bin"
+        # cut inside the first record header, cut inside a record body, one extra byte
+        for blob in (data[:20], data[:-7], data + b"\x00"):
+            damaged.write_bytes(blob)
+            assert main(["train", "--config", str(workspace["config"]),
+                         "--dataset", str(damaged)]) == 1
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and err[0].startswith("error:")
+
+
 class TestEvaluate:
     def test_each_split_choice(self, workspace, capsys):
         for split in ("test", "train", "all"):

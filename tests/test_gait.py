@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from trgr.channel import (
-    DirectChannel,
-    MultipathComponent,
     NoiseSpec,
     RisChannel,
     SubcarrierGrid,
+    Taps,
     combined_taps,
     frequency_response,
 )
@@ -22,10 +21,11 @@ from trgr.gait import (
     CsiRecording,
     ScenarioConfig,
     SubjectProfile,
+    _envelopes,
+    _gait_draws,
     default_profiles,
     default_scenario,
     dynamic_coupling,
-    dynamic_taps,
     generate_dataset,
     render_recording,
 )
@@ -42,6 +42,14 @@ def make_profile(sid: int = 0, seed: int = 100) -> SubjectProfile:
     )
 
 
+def dynamic_taps(profile: SubjectProfile, t: float, episode_seed: int,
+                 path_count: int = 6) -> Taps:
+    """The walker's taps t seconds into an episode, from the draws the render uses."""
+    delays, psi, doppler, phi0, base = _gait_draws(profile, episode_seed, path_count)
+    amps = _envelopes(profile, psi, base, np.array([t]))[0]
+    return Taps(amps, phi0 + 2.0 * math.pi * doppler * t, delays)
+
+
 def tiny_scenario(noise_variance: float = 0.0, wall_db: float = 40.0,
                   n_ris: int = 4, paths: int = 3) -> ScenarioConfig:
     rng = np.random.default_rng(55)
@@ -50,7 +58,7 @@ def tiny_scenario(noise_variance: float = 0.0, wall_db: float = 40.0,
         rng.standard_normal(n_ris) + 1j * rng.standard_normal(n_ris),
         np.full(n_ris, 40e-9),
     ) if n_ris else RisChannel.empty()
-    direct = DirectChannel((MultipathComponent(0.8, 0.3, 10e-9),))
+    direct = Taps([0.8], [0.3], [10e-9])
     return ScenarioConfig(
         name="tiny",
         direct=direct,
@@ -121,32 +129,28 @@ class TestCsiRecording:
 class TestDynamicTaps:
     def test_path_count_and_delay_range(self):
         taps = dynamic_taps(make_profile(), t=0.2, episode_seed=1, path_count=5)
-        assert len(taps) == 5
+        assert taps.delay.shape == (5,)
         lo, hi = DYNAMIC_DELAY_RANGE_S
-        for tap in taps:
-            assert lo <= tap.delay <= hi
-            assert tap.amplitude >= 0
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            dynamic_taps(make_profile(), t=-0.1, episode_seed=1)
+        assert np.all((lo <= taps.delay) & (taps.delay <= hi))
+        assert np.all(taps.amplitude >= 0)
 
     def test_deterministic_per_arguments(self):
         a = dynamic_taps(make_profile(), 0.3, episode_seed=2, path_count=4)
         b = dynamic_taps(make_profile(), 0.3, episode_seed=2, path_count=4)
-        assert a == b
+        for field in ("amplitude", "phase", "delay"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
 
     def test_episodes_of_one_subject_share_delays_not_phases(self):
         p = make_profile()
         e1 = dynamic_taps(p, 0.0, episode_seed=1, path_count=4)
         e2 = dynamic_taps(p, 0.0, episode_seed=2, path_count=4)
-        assert [t.delay for t in e1] == [t.delay for t in e2]
-        assert [t.phase for t in e1] != [t.phase for t in e2]
+        assert np.array_equal(e1.delay, e2.delay)
+        assert not np.array_equal(e1.phase, e2.phase)
 
     def test_different_subjects_get_different_delays(self):
         e1 = dynamic_taps(make_profile(seed=100), 0.0, episode_seed=1, path_count=4)
         e2 = dynamic_taps(make_profile(seed=101), 0.0, episode_seed=1, path_count=4)
-        assert [t.delay for t in e1] != [t.delay for t in e2]
+        assert not np.array_equal(e1.delay, e2.delay)
 
     def test_doppler_rates_bounded_and_episode_stable(self):
         dt = 1e-3
@@ -154,16 +158,14 @@ class TestDynamicTaps:
             p = make_profile(sid, seed=100 + sid)
             taps0 = dynamic_taps(p, 0.0, episode_seed=ep, path_count=4)
             taps1 = dynamic_taps(p, dt, episode_seed=ep, path_count=4)
-            for a, b in zip(taps0, taps1):
-                delta = (b.phase - a.phase + math.pi) % (2 * math.pi) - math.pi
-                doppler = delta / (2 * math.pi * dt)
-                assert abs(doppler) <= MAX_DOPPLER_HZ + 1e-6
+            delta = (taps1.phase - taps0.phase + math.pi) % (2 * math.pi) - math.pi
+            doppler = delta / (2 * math.pi * dt)
+            assert np.all(np.abs(doppler) <= MAX_DOPPLER_HZ + 1e-6)
 
     def test_amplitudes_stay_nonnegative_with_deep_modulation(self):
         p = dataclasses.replace(make_profile(), harmonic_weights=(2.0, 1.5))
         for t in np.linspace(0.0, 2.0, 17):
-            for tap in dynamic_taps(p, float(t), episode_seed=3, path_count=4):
-                assert tap.amplitude >= 0
+            assert np.all(dynamic_taps(p, float(t), episode_seed=3, path_count=4).amplitude >= 0)
 
 
 class TestDynamicCoupling:
@@ -198,10 +200,9 @@ class TestDynamicCoupling:
         assert not np.allclose(rec_a.magnitudes, rec_b.magnitudes)
 
 
-def _attenuated(sc: ScenarioConfig) -> DirectChannel:
+def _attenuated(sc: ScenarioConfig) -> Taps:
     scale = 10 ** (-sc.wall_attenuation_db / 20.0)
-    return DirectChannel(tuple(
-        MultipathComponent(t.amplitude * scale, t.phase, t.delay) for t in sc.direct.taps))
+    return Taps(sc.direct.amplitude * scale, sc.direct.phase, sc.direct.delay)
 
 
 class TestRenderRecording:
@@ -225,6 +226,19 @@ class TestRenderRecording:
         expected = np.abs(frequency_response(
             combined_taps(_attenuated(sc), sc.ris, cb), sc.grid))
         assert np.allclose(rec.magnitudes, expected[None, :])
+
+    def test_noiseless_rows_are_static_plus_coupled_walker_taps(self):
+        sc = tiny_scenario(noise_variance=0.0)
+        cb = Codebook(np.array([[0, 1], [1, 0]], dtype=np.uint8))
+        p = make_profile()
+        rec = render_recording(p, sc, cb, episode_seed=6)
+        static = frequency_response(combined_taps(_attenuated(sc), sc.ris, cb), sc.grid)
+        coupling = dynamic_coupling(sc)
+        for row in range(sc.packet_count):
+            walker = dynamic_taps(p, row / sc.packets_per_second, episode_seed=6,
+                                  path_count=sc.dynamic_path_count)
+            expected = np.abs(static + coupling * frequency_response(walker, sc.grid))
+            assert np.allclose(rec.magnitudes[row], expected, rtol=1e-9, atol=1e-12)
 
     def test_walker_modulates_the_rows(self):
         sc = tiny_scenario(noise_variance=0.0)
@@ -268,6 +282,14 @@ class TestGenerateDataset:
         assert len(recs) == 6
         assert [r.label for r in recs] == [0, 0, 0, 1, 1, 1]
         assert len({r.episode_seed for r in recs}) == 6
+
+    def test_records_equal_individual_renders(self):
+        sc = tiny_scenario(noise_variance=0.1)
+        profiles = [make_profile(0, 100), make_profile(1, 101)]
+        cb = Codebook(np.array([[1, 0], [0, 1]], dtype=np.uint8))
+        for rec in generate_dataset(profiles, sc, cb, episodes_per_subject=2, base_seed=9):
+            alone = render_recording(profiles[rec.label], sc, cb, rec.episode_seed)
+            assert np.array_equal(rec.magnitudes, alone.magnitudes)
 
     def test_deterministic_by_base_seed(self):
         sc = tiny_scenario(noise_variance=0.1)

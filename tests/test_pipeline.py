@@ -201,6 +201,20 @@ class TestDatasetContainer:
         with pytest.raises(ValueError):
             load_dataset(path)
 
+    def test_every_truncation_and_trailing_byte_rejected(self, tmp_path):
+        path = tmp_path / "cut.bin"
+        save_dataset(path, self.make_set(n=6, t=2, s=3))
+        data = path.read_bytes()
+        for size in range(len(data)):
+            path.write_bytes(data[:size])
+            with pytest.raises(ValueError):
+                load_dataset(path)
+        path.write_bytes(data + b"\x00")
+        with pytest.raises(ValueError, match="trailing"):
+            load_dataset(path)
+        path.write_bytes(data)
+        assert len(load_dataset(path)) == 6
+
     def test_empty_dataset_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             save_dataset(tmp_path / "e.bin", [])

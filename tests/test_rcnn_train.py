@@ -326,10 +326,12 @@ class TestCheckpoint:
         path = tmp_path / "c.bin"
         save_model(self.make_model(), path)
         data = bytearray(path.read_bytes())
-        data[19] = 0xEE  # first layer record's kind code
-        path.write_bytes(bytes(data))
-        with pytest.raises(ValueError):
-            load_model(path)
+        # 8 was a softmax code that no model ever wrote
+        for code in (0xEE, 8):
+            data[21] = code  # first layer record's kind code, after the 21-byte header
+            path.write_bytes(bytes(data))
+            with pytest.raises(ValueError, match=f"unknown layer kind code {code}"):
+                load_model(path)
 
 
 class TestResidualIdentity:
