@@ -9,6 +9,7 @@ import pytest
 from trgr.cli import main
 from trgr.codebook import Codebook
 from trgr.pipeline import load_dataset
+from trgr.rcnn.model import load_model, save_model
 
 TINY = {
     "seed": 123,
@@ -149,6 +150,25 @@ def test_desk_datasets_match_golden_digests(tmp_path):
     assert main(["generate", "--config", str(DESK_CONFIG), "--output", str(tmp_path)]) == 0
     for name, digest in DESK_DATASET_SHA256.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+# sha256 of a 2-epoch `trgr train` on the TINY config's ris_on dataset;
+# refactors of the network, the training loop or the checkpoint format must
+# keep these bytes.
+TINY_TRAIN_SHA256 = {
+    "model.bin": "3b807c5eadd69f4bfc07d625a629fd66d537be20494934da295d5437de75e833",
+    "training_log.csv": "2489b95f17d9367c6e07060a395d73552b70462b6886ccd31f0bfa88b0d1f406",
+}
+
+
+def test_tiny_training_matches_golden_digests(workspace, tmp_path):
+    assert main(["train", "--config", str(workspace["config"]), "--output", str(tmp_path),
+                 "--dataset", str(workspace["out"] / "dataset_ris_on.bin")]) == 0
+    for name, digest in TINY_TRAIN_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+    # the pinned checkpoint loads and re-saves to the same bytes
+    save_model(load_model(tmp_path / "model.bin"), tmp_path / "resaved.bin")
+    assert (tmp_path / "resaved.bin").read_bytes() == (tmp_path / "model.bin").read_bytes()
 
 
 class TestTrain:
