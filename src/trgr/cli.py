@@ -33,15 +33,9 @@ from .config import (
 )
 from .gait import generate_dataset
 from .pipeline import denoise_recording, load_dataset, normalize, save_dataset, split_dataset
-from .rcnn import (
-    RcnnModel,
-    evaluate,
-    load_model,
-    save_model,
-    shape_chain,
-    train,
-    write_training_log,
-)
+from .rcnn.metrics import evaluate
+from .rcnn.model import RcnnModel, load_model, save_model, shape_chain
+from .rcnn.training import train, write_training_log
 from .ris import BRUTE_FORCE_MAX_BITS, brute_force, optimize, snr_probe
 
 
@@ -58,6 +52,12 @@ def _write_json(path: Path, doc: dict) -> None:
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
+
+
+def _write_manifest(command: str, cfg: ExperimentConfig, artifacts: dict[str, Path],
+                    t0: float) -> None:
+    manifest = build_manifest(command, cfg, artifacts, {"total": time.perf_counter() - t0})
+    write_manifest(manifest, cfg.output_dir / f"manifest_{command}.json")
 
 
 def _percent(x: float) -> float:
@@ -86,7 +86,8 @@ def _run_optimizer(cfg: ExperimentConfig):
     initial = Codebook.zeros(cfg.ris_rows, cfg.ris_cols)
     trace = optimize(probe, initial, cfg.outer_iters)
     accepted = trace.accepted_strengths()
-    if any(b <= a for a, b in zip(accepted, accepted[1:])):
+    # a noisy probe re-measures on every visit, so only exact readings must rise
+    if cfg.probe_noise_std == 0 and any(b <= a for a, b in zip(accepted, accepted[1:])):
         raise ValueError("optimizer audit failed: accepted strengths are not increasing")
 
     rho_initial = snr(scenario.ris, initial, scenario.noise)
@@ -118,10 +119,9 @@ def cmd_optimize(args) -> int:
     codebook_path.write_text(trace.best_codebook.to_text())
     trace.to_csv(trace_path)
     _write_json(report_path, report)
-    manifest = build_manifest("optimize", cfg, {
+    _write_manifest("optimize", cfg, {
         "codebook": codebook_path, "trace": trace_path, "snr_report": report_path,
-    }, {"total": time.perf_counter() - t0})
-    write_manifest(manifest, out / "manifest_optimize.json")
+    }, t0)
     gain = report["gain_db"]
     print(f"snr initial {report['snr_initial']:.6g}  optimized {report['snr_optimized']:.6g}"
           + (f"  gain {gain:.2f} dB" if gain is not None else "  gain n/a"))
@@ -144,6 +144,12 @@ def _dataset_paths(cfg: ExperimentConfig) -> dict[str, Path]:
 
 
 def _generate_datasets(cfg: ExperimentConfig) -> dict[str, Path]:
+    # reject a config whose datasets could not be split or trained on before
+    # spending the optimizer and render time on it
+    shape_chain(cfg.scenario.packet_count, cfg.scenario.grid.count, len(cfg.profiles))
+    if cfg.episodes_per_subject < 3:
+        raise ValueError(f"episodes_per_subject is {cfg.episodes_per_subject}, "
+                         "need at least 3 to split each subject")
     trace, _, _ = _run_optimizer(cfg)
     paths = _dataset_paths(cfg)
     on = generate_dataset(cfg.profiles, cfg.scenario, trace.best_codebook,
@@ -159,9 +165,7 @@ def cmd_generate(args) -> int:
     cfg = _load_cfg(args)
     t0 = time.perf_counter()
     paths = _generate_datasets(cfg)
-    manifest = build_manifest("generate", cfg, paths,
-                              {"total": time.perf_counter() - t0})
-    write_manifest(manifest, cfg.output_dir / "manifest_generate.json")
+    _write_manifest("generate", cfg, paths, t0)
     count = len(cfg.profiles) * cfg.episodes_per_subject
     t = cfg.scenario.packet_count
     s = cfg.scenario.grid.count
@@ -210,11 +214,10 @@ def cmd_train(args) -> int:
     write_training_log(logs, log_path)
     doc = _metrics_doc(metrics)
     _write_json(metrics_path, doc)
-    manifest = build_manifest("train", cfg, {
+    _write_manifest("train", cfg, {
         "checkpoint": ckpt_path, "training_log": log_path, "metrics": metrics_path,
         "dataset": dataset_path,
-    }, {"total": time.perf_counter() - t0})
-    write_manifest(manifest, out / "manifest_train.json")
+    }, t0)
     for row in logs:
         print(f"epoch {row.epoch:3d}  loss {row.loss:.4f}  "
               f"train {100 * row.train_acc:.2f}%  test {100 * row.test_acc:.2f}%")
@@ -238,10 +241,9 @@ def cmd_evaluate(args) -> int:
     doc["split"] = args.split
     metrics_path = cfg.output_dir / "eval_metrics.json"
     _write_json(metrics_path, doc)
-    manifest = build_manifest("evaluate", cfg, {
+    _write_manifest("evaluate", cfg, {
         "metrics": metrics_path, "dataset": dataset_path, "checkpoint": model_path,
-    }, {"total": time.perf_counter() - t0})
-    write_manifest(manifest, cfg.output_dir / "manifest_evaluate.json")
+    }, t0)
     _print_metrics(f"{args.split}:", doc)
     return 0
 
@@ -279,9 +281,7 @@ def cmd_ablate(args) -> int:
 
     report_path = cfg.output_dir / "ablation_report.json"
     _write_json(report_path, report)
-    manifest = build_manifest("ablate", cfg, {"ablation_report": report_path},
-                              {"total": time.perf_counter() - t0})
-    write_manifest(manifest, cfg.output_dir / "manifest_ablate.json")
+    _write_manifest("ablate", cfg, {"ablation_report": report_path}, t0)
     return 0
 
 

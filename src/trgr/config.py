@@ -37,7 +37,7 @@ import numpy as np
 
 from .gait import ScenarioConfig, SubjectProfile, default_profiles, default_scenario
 from .pipeline import FilterSpec
-from .rcnn import TrainConfig
+from .rcnn.training import TrainConfig
 from .seeds import mix_seeds
 
 _SALT_SCENARIO = 0x7363656E

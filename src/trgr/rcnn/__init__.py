@@ -1,62 +1,1 @@
 """From-scratch residual CNN: layers, model, training loop, metrics."""
-from .layers import (
-    BatchNorm2d,
-    Conv2d,
-    Flatten,
-    Linear,
-    MaxPool2d,
-    Param,
-    ReLU,
-    ResidualBlock,
-    conv_output_size,
-)
-from .metrics import Metrics, evaluate, metrics_from_predictions
-from .model import (
-    CHECKPOINT_MAGIC,
-    CHECKPOINT_VERSION,
-    LayerSpec,
-    RcnnModel,
-    load_model,
-    save_model,
-    shape_chain,
-)
-from .training import (
-    Adam,
-    EpochLog,
-    TrainConfig,
-    cross_entropy,
-    recordings_to_arrays,
-    softmax,
-    train,
-    write_training_log,
-)
-
-__all__ = [
-    "Adam",
-    "BatchNorm2d",
-    "CHECKPOINT_MAGIC",
-    "CHECKPOINT_VERSION",
-    "Conv2d",
-    "EpochLog",
-    "Flatten",
-    "LayerSpec",
-    "Linear",
-    "MaxPool2d",
-    "Metrics",
-    "Param",
-    "RcnnModel",
-    "ReLU",
-    "ResidualBlock",
-    "TrainConfig",
-    "conv_output_size",
-    "cross_entropy",
-    "evaluate",
-    "load_model",
-    "metrics_from_predictions",
-    "recordings_to_arrays",
-    "save_model",
-    "shape_chain",
-    "softmax",
-    "train",
-    "write_training_log",
-]

@@ -259,6 +259,10 @@ class ResidualBlock:
                                         rng, dtype)
             self.shortcut_bn = BatchNorm2d(channels, dtype=dtype)
         self.relu_out = ReLU()
+        # the layers holding parameters, in parameter and checkpoint order
+        self.sublayers = [self.conv1, self.bn1, self.conv2, self.bn2]
+        if self.shortcut_conv is not None:
+            self.sublayers += [self.shortcut_conv, self.shortcut_bn]
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         main = self.conv1.forward(x, training)
@@ -286,7 +290,4 @@ class ResidualBlock:
         return gm + gs
 
     def params(self) -> list[Param]:
-        out = self.conv1.params() + self.bn1.params() + self.conv2.params() + self.bn2.params()
-        if self.shortcut_conv is not None:
-            out += self.shortcut_conv.params() + self.shortcut_bn.params()
-        return out
+        return [p for layer in self.sublayers for p in layer.params()]

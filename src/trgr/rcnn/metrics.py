@@ -19,15 +19,6 @@ class Metrics:
     macro_precision: float
     macro_f1: float
 
-    def as_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "macro_recall": self.macro_recall,
-            "macro_precision": self.macro_precision,
-            "macro_f1": self.macro_f1,
-            "confusion": self.confusion.tolist(),
-        }
-
 
 def metrics_from_predictions(y_true, y_pred, class_count: int) -> Metrics:
     y_true = np.asarray(y_true, dtype=np.int64)

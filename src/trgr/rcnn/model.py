@@ -8,12 +8,12 @@ applied only by the loss and by `predict`.
 `shape_chain` computes every intermediate output size for a given input frame,
 which doubles as the construction-time shape check and the `shapes` CLI
 command.  Checkpoints are a small binary format: magic, version, input geometry,
-a layer table, then all parameters as float32 in declaration order.
+a layer table, then every parameter and BatchNorm running statistic as
+float32 in layer order.
 """
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,44 +33,10 @@ from .layers import (
 CHECKPOINT_MAGIC = b"TRGRMDL"
 CHECKPOINT_VERSION = 1
 
-KIND_CONV = "conv"
-KIND_BATCHNORM = "batchnorm"
-KIND_RELU = "relu"
-KIND_MAXPOOL = "maxpool"
-KIND_RESIDUAL = "residual"
-KIND_FLATTEN = "flatten"
-KIND_FC = "fc"
-
-_KIND_CODES = {
-    KIND_CONV: 1,
-    KIND_BATCHNORM: 2,
-    KIND_RELU: 3,
-    KIND_MAXPOOL: 4,
-    KIND_RESIDUAL: 5,
-    KIND_FLATTEN: 6,
-    KIND_FC: 7,
-}
-_CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
-
 _HEADER = struct.Struct("<7sHIIHH")
 _LAYER_REC = struct.Struct("<BHHHHHHH")
-
-
-@dataclass(frozen=True)
-class LayerSpec:
-    """Structural description of one layer, used for the checkpoint table."""
-
-    kind: str
-    kernel: tuple[int, int] = (0, 0)
-    stride: tuple[int, int] = (0, 0)
-    padding: tuple[int, int] = (0, 0)
-    channels_out: int = 0
-
-    def __post_init__(self):
-        if self.kind not in _KIND_CODES:
-            raise ValueError(f"unknown layer kind {self.kind!r}")
-        if any(v < 0 for v in (*self.kernel, *self.stride, *self.padding, self.channels_out)):
-            raise ValueError("layer geometry fields must be nonnegative")
+_LAYER_CODES = range(1, 8)  # the kind codes _layer_record writes
+_PREDICT_CHUNK = 32
 
 
 def shape_chain(frame_height: int, frame_width: int, class_count: int) -> list[tuple[str, tuple]]:
@@ -179,78 +145,59 @@ class RcnnModel:
             out.extend(layer.params())
         return out
 
-    def predict_proba(self, batch: np.ndarray, chunk: int = 32) -> np.ndarray:
+    def predict(self, batch: np.ndarray) -> np.ndarray:
+        """Class indices: softmax then argmax, 32 frames at a time."""
         from .training import softmax
 
-        parts = [softmax(self.forward(batch[i:i + chunk]))
-                 for i in range(0, batch.shape[0], chunk)]
-        return np.concatenate(parts, axis=0)
-
-    def predict(self, batch: np.ndarray, chunk: int = 32) -> np.ndarray:
-        return self.predict_proba(batch, chunk).argmax(axis=1)
-
-    def layer_specs(self) -> list[LayerSpec]:
-        out: list[LayerSpec] = []
-        for layer in self.layers:
-            if isinstance(layer, Conv2d):
-                out.append(LayerSpec(KIND_CONV, layer.kernel, layer.stride,
-                                     layer.padding, layer.c_out))
-            elif isinstance(layer, BatchNorm2d):
-                out.append(LayerSpec(KIND_BATCHNORM, channels_out=layer.channels))
-            elif isinstance(layer, ReLU):
-                out.append(LayerSpec(KIND_RELU))
-            elif isinstance(layer, MaxPool2d):
-                out.append(LayerSpec(KIND_MAXPOOL, (layer.kernel, layer.kernel),
-                                     (layer.kernel, layer.kernel)))
-            elif isinstance(layer, ResidualBlock):
-                out.append(LayerSpec(KIND_RESIDUAL, (3, 3), (layer.stride, layer.stride),
-                                     (1, 1), layer.channels))
-            elif isinstance(layer, Flatten):
-                out.append(LayerSpec(KIND_FLATTEN))
-            elif isinstance(layer, Linear):
-                out.append(LayerSpec(KIND_FC, channels_out=layer.out_features))
-            else:  # pragma: no cover - the stack is fixed
-                raise TypeError(f"unserializable layer {type(layer).__name__}")
-        return out
+        return np.concatenate([
+            softmax(self.forward(batch[i:i + _PREDICT_CHUNK])).argmax(axis=1)
+            for i in range(0, batch.shape[0], _PREDICT_CHUNK)
+        ])
 
 
-def _flat_layers(model: RcnnModel) -> list:
-    flat = []
-    for layer in model.layers:
-        if isinstance(layer, ResidualBlock):
-            flat += [layer.conv1, layer.bn1, layer.conv2, layer.bn2]
-            if layer.shortcut_conv is not None:
-                flat += [layer.shortcut_conv, layer.shortcut_bn]
-        else:
-            flat.append(layer)
-    return flat
+def _layer_record(layer) -> tuple[int, ...]:
+    """One layer's checkpoint table entry: kind code, kernel, stride, padding,
+    output channels, with 0 for the fields the kind does not have."""
+    if isinstance(layer, Conv2d):
+        return (1, *layer.kernel, *layer.stride, *layer.padding, layer.c_out)
+    if isinstance(layer, BatchNorm2d):
+        return (2, 0, 0, 0, 0, 0, 0, layer.channels)
+    if isinstance(layer, ReLU):
+        return (3, 0, 0, 0, 0, 0, 0, 0)
+    if isinstance(layer, MaxPool2d):
+        k = layer.kernel
+        return (4, k, k, k, k, 0, 0, 0)
+    if isinstance(layer, ResidualBlock):
+        s = layer.stride
+        return (5, 3, 3, s, s, 1, 1, layer.channels)
+    if isinstance(layer, Flatten):
+        return (6, 0, 0, 0, 0, 0, 0, 0)
+    if isinstance(layer, Linear):
+        return (7, 0, 0, 0, 0, 0, 0, layer.out_features)
+    raise TypeError(f"unserializable layer {type(layer).__name__}")  # pragma: no cover
 
 
-def _tensor_refs(model: RcnnModel) -> list[tuple[object, str, bool]]:
-    """Every persisted array as (owner, attribute, is_trainable) in a fixed
-    order.  BatchNorm running statistics ride along so a loaded model can run
+def _state_arrays(model: RcnnModel) -> list[np.ndarray]:
+    """Every persisted array in checkpoint order: each layer's parameters,
+    then, for BatchNorm, its running statistics, so a loaded model can run
     inference without retraining."""
-    refs: list[tuple[object, str, bool]] = []
-    for layer in _flat_layers(model):
-        if isinstance(layer, (Conv2d, Linear)):
-            refs += [(layer, "w", True), (layer, "b", True)]
-        elif isinstance(layer, BatchNorm2d):
-            refs += [(layer, "gamma", True), (layer, "beta", True),
-                     (layer, "running_mean", False), (layer, "running_var", False)]
-    return refs
+    arrays: list[np.ndarray] = []
+    for layer in model.layers:
+        for sub in layer.sublayers if isinstance(layer, ResidualBlock) else [layer]:
+            arrays += [p.data for p in sub.params()]
+            if isinstance(sub, BatchNorm2d):
+                arrays += [sub.running_mean, sub.running_var]
+    return arrays
 
 
 def save_model(model: RcnnModel, path) -> None:
-    specs = model.layer_specs()
     blob = bytearray()
     blob += _HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                          model.frame_height, model.frame_width,
-                         model.class_count, len(specs))
-    for spec in specs:
-        blob += _LAYER_REC.pack(_KIND_CODES[spec.kind], *spec.kernel, *spec.stride,
-                                *spec.padding, spec.channels_out)
-    for owner, name, trainable in _tensor_refs(model):
-        arr = getattr(owner, name).data if trainable else getattr(owner, name)
+                         model.class_count, len(model.layers))
+    for layer in model.layers:
+        blob += _LAYER_REC.pack(*_layer_record(layer))
+    for arr in _state_arrays(model):
         blob += np.ascontiguousarray(arr, dtype="<f4").tobytes()
     with open(path, "wb") as fh:
         fh.write(bytes(blob))
@@ -267,33 +214,25 @@ def load_model(path, dtype=np.float64) -> RcnnModel:
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
     offset = _HEADER.size
-    specs: list[LayerSpec] = []
+    table: list[tuple[int, ...]] = []
     for _ in range(layer_count):
         if offset + _LAYER_REC.size > len(raw):
             raise ValueError("checkpoint truncated inside the layer table")
-        code, kh, kw, sh, sw, ph, pw, cout = _LAYER_REC.unpack_from(raw, offset)
+        record = _LAYER_REC.unpack_from(raw, offset)
         offset += _LAYER_REC.size
-        if code not in _CODE_KINDS:
-            raise ValueError(f"unknown layer kind code {code}")
-        specs.append(LayerSpec(_CODE_KINDS[code], (kh, kw), (sh, sw), (ph, pw), cout))
+        if record[0] not in _LAYER_CODES:
+            raise ValueError(f"unknown layer kind code {record[0]}")
+        table.append(record)
 
     model = RcnnModel(height, width, class_count, dtype=dtype)
-    if model.layer_specs() != specs:
+    if table != [_layer_record(layer) for layer in model.layers]:
         raise ValueError("checkpoint layer table does not match the fixed architecture")
-    for owner, name, trainable in _tensor_refs(model):
-        target = getattr(owner, name).data if trainable else getattr(owner, name)
-        count = target.size
-        end = offset + 4 * count
+    for target in _state_arrays(model):
+        end = offset + 4 * target.size
         if end > len(raw):
             raise ValueError("checkpoint truncated inside the parameter block")
-        values = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
-        restored = values.astype(model.dtype).reshape(target.shape)
-        if trainable:
-            param = getattr(owner, name)
-            param.data = restored
-            param.grad = np.zeros_like(restored)
-        else:
-            setattr(owner, name, restored)
+        target[...] = np.frombuffer(raw, dtype="<f4", count=target.size,
+                                    offset=offset).reshape(target.shape)
         offset = end
     if offset != len(raw):
         raise ValueError("trailing bytes after the parameter block")

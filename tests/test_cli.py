@@ -94,6 +94,14 @@ class TestOptimize:
         assert report["gap_to_brute_force"] >= -1e-9
         assert (out / "manifest_optimize.json").exists()
 
+    def test_noisy_probe_passes(self, tmp_path):
+        # under probe noise each visit re-measures, so accepted readings need
+        # not increase; the monotonicity audit applies only to exact probes
+        out = tmp_path / "noisy"
+        cfg = write_config(tmp_path, out, optimizer={"probe_noise_std": 0.5})
+        assert main(["optimize", "--config", str(cfg)]) == 0
+        assert len((out / "trace.csv").read_text().strip().splitlines()) == 25
+
     def test_seed_override_changes_the_channel(self, tmp_path):
         outs = []
         for seed in (1, 2):
@@ -128,6 +136,14 @@ class TestGenerate:
             a = (workspace["out"] / name).read_bytes()
             b = (out2 / name).read_bytes()
             assert a == b
+
+    def test_untrainable_frame_fails_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "narrow"
+        cfg = write_config(tmp_path, out, scenario={"subcarriers": 64})
+        assert main(["generate", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not list(out.glob("dataset_*.bin"))
 
     def test_output_flag_overrides_directory(self, workspace, tmp_path):
         override = tmp_path / "elsewhere"

@@ -45,12 +45,6 @@ class TestHandExamples:
         assert abs(m.macro_recall - (0.5 + 1.0) / 2) < 1e-9
         assert abs(m.macro_precision - (1.0 + 1.0) / 2) < 1e-9
 
-    def test_as_dict_round_trips_fields(self):
-        m = metrics_from_predictions([0, 1], [0, 1], 2)
-        d = m.as_dict()
-        assert d["accuracy"] == 1.0
-        assert d["confusion"] == [[1, 0], [0, 1]]
-
 
 class TestValidation:
     def test_empty_set_rejected(self):

@@ -101,11 +101,3 @@ class TestModelForward:
         labels = model.predict(x)
         assert labels.shape == (3,)
         assert set(labels.tolist()) <= set(range(5))
-
-    def test_predict_proba_rows_sum_to_one(self):
-        model = RcnnModel(104, 104, class_count=5, seed=3)
-        x = np.random.default_rng(2).standard_normal((3, 1, 104, 104))
-        p = model.predict_proba(x)
-        assert p.shape == (3, 5)
-        assert np.allclose(p.sum(axis=1), 1.0, atol=1e-9)
-        assert np.all(p >= 0)
