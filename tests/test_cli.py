@@ -145,6 +145,12 @@ class TestGenerate:
         assert len(err) == 1 and err[0].startswith("error:")
         assert not list(out.glob("dataset_*.bin"))
 
+    def test_generate_runs_no_oracle(self, tmp_path, monkeypatch):
+        # the exhaustive oracle belongs to the optimize report, not the datasets
+        monkeypatch.setattr("trgr.cli.brute_force", _forbidden("brute_force"))
+        cfg = write_config(tmp_path, tmp_path / "gen")
+        assert main(["generate", "--config", str(cfg)]) == 0
+
     def test_output_flag_overrides_directory(self, workspace, tmp_path):
         override = tmp_path / "elsewhere"
         assert main(["generate", "--config", str(workspace["config"]),
@@ -185,6 +191,33 @@ def test_tiny_training_matches_golden_digests(workspace, tmp_path):
     # the pinned checkpoint loads and re-saves to the same bytes
     save_model(load_model(tmp_path / "model.bin"), tmp_path / "resaved.bin")
     assert (tmp_path / "resaved.bin").read_bytes() == (tmp_path / "model.bin").read_bytes()
+
+
+# sha256 of `trgr optimize` on the TINY config, whose 16-element surface also
+# runs the exhaustive oracle; moving the search or the report must keep these
+# bytes and the printed summary.
+TINY_OPTIMIZE_SHA256 = {
+    "codebook.txt": "90ae5b1391b08315aff43097bea6c84f35a5de94ed19d56377b4f9a362511927",
+    "trace.csv": "82162e00b37641f38e7d92c251d9d81afe0318b68e09456b700886b1360f0cdb",
+    "snr_report.json": "e21565990a9eb140d1281bbca485d747e1c4c8a02199aa349a8e7d341e781ba3",
+}
+TINY_OPTIMIZE_STDOUT = ("snr initial 0.407251  optimized 1.15291  gain 4.52 dB\n"
+                        "brute force strength 2.53862  gap 1.39\n")
+
+
+def test_tiny_optimize_matches_golden_digests(tmp_path, capsys):
+    cfg = write_config(tmp_path, tmp_path / "opt")
+    assert main(["optimize", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == TINY_OPTIMIZE_STDOUT
+    for name, digest in TINY_OPTIMIZE_SHA256.items():
+        digest_now = hashlib.sha256((tmp_path / "opt" / name).read_bytes()).hexdigest()
+        assert digest_now == digest, name
+
+
+def _forbidden(name):
+    def fail(*args, **kwargs):
+        raise ValueError(f"{name} must not run here")
+    return fail
 
 
 class TestTrain:
@@ -259,6 +292,17 @@ class TestAblate:
         expected = round(report["ris_on"]["accuracy_pct"]
                          - report["ris_off"]["accuracy_pct"], 2)
         assert report["accuracy_delta_pp"] == expected
+
+    def test_renders_only_the_missing_ris_off_without_a_search(self, workspace, tmp_path,
+                                                                monkeypatch):
+        # ris_off is rendered on the empty surface and needs no codebook
+        monkeypatch.setattr("trgr.cli.optimize", _forbidden("optimize"))
+        out = tmp_path / "abo"
+        cfg = write_config(tmp_path, out)
+        assert main(["ablate", "--config", str(cfg),
+                     "--ris-on", str(workspace["out"] / "dataset_ris_on.bin")]) == 0
+        assert (out / "dataset_ris_off.bin").exists()
+        assert not (out / "dataset_ris_on.bin").exists()
 
     def test_explicit_missing_dataset_fails(self, tmp_path, capsys):
         out = tmp_path / "abx"
