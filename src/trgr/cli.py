@@ -79,18 +79,23 @@ def _print_metrics(prefix: str, doc: dict) -> None:
           f"precision {doc['precision_pct']:.2f}%  f1 {doc['f1_pct']:.2f}%")
 
 
-def _run_optimizer(cfg: ExperimentConfig):
-    """Shared by optimize/generate: returns (trace, initial codebook, report)."""
-    scenario = cfg.scenario
-    probe = snr_probe(scenario.ris, scenario.noise, cfg.probe_noise_std, cfg.probe_seed)
-    initial = Codebook.zeros(cfg.ris_rows, cfg.ris_cols)
-    trace = optimize(probe, initial, cfg.outer_iters)
+def _search(cfg: ExperimentConfig):
+    """The audited line-flip search from the all-zeros codebook: (probe, trace)."""
+    probe = snr_probe(cfg.scenario.ris, cfg.scenario.noise, cfg.probe_noise_std, cfg.probe_seed)
+    trace = optimize(probe, Codebook.zeros(cfg.ris_rows, cfg.ris_cols), cfg.outer_iters)
     accepted = trace.accepted_strengths()
     # a noisy probe re-measures on every visit, so only exact readings must rise
     if cfg.probe_noise_std == 0 and any(b <= a for a, b in zip(accepted, accepted[1:])):
         raise ValueError("optimizer audit failed: accepted strengths are not increasing")
+    return probe, trace
 
-    rho_initial = snr(scenario.ris, initial, scenario.noise)
+
+def cmd_optimize(args) -> int:
+    cfg = _load_cfg(args)
+    t0 = time.perf_counter()
+    probe, trace = _search(cfg)
+    scenario = cfg.scenario
+    rho_initial = snr(scenario.ris, Codebook.zeros(cfg.ris_rows, cfg.ris_cols), scenario.noise)
     rho_optimized = snr(scenario.ris, trace.best_codebook, scenario.noise)
     report = {
         "elements": scenario.ris.n_elements,
@@ -99,19 +104,13 @@ def _run_optimizer(cfg: ExperimentConfig):
         "snr_optimized": rho_optimized,
         "gain_db": (10.0 * math.log10(rho_optimized / rho_initial)
                     if rho_initial > 0 else None),
-        "accepted_flips": len(accepted),
+        "accepted_flips": len(trace.accepted_strengths()),
     }
     if scenario.ris.n_elements <= BRUTE_FORCE_MAX_BITS:
+        # the oracle reads its own fresh stream from the same probe settings
         _, best = brute_force(probe, cfg.ris_rows, cfg.ris_cols)
         report["brute_force_strength"] = best
         report["gap_to_brute_force"] = best - trace.best_strength
-    return trace, initial, report
-
-
-def cmd_optimize(args) -> int:
-    cfg = _load_cfg(args)
-    t0 = time.perf_counter()
-    trace, _, report = _run_optimizer(cfg)
     out = cfg.output_dir
     codebook_path = out / "codebook.txt"
     trace_path = out / "trace.csv"
@@ -123,17 +122,12 @@ def cmd_optimize(args) -> int:
         "codebook": codebook_path, "trace": trace_path, "snr_report": report_path,
     }, t0)
     gain = report["gain_db"]
-    print(f"snr initial {report['snr_initial']:.6g}  optimized {report['snr_optimized']:.6g}"
+    print(f"snr initial {rho_initial:.6g}  optimized {rho_optimized:.6g}"
           + (f"  gain {gain:.2f} dB" if gain is not None else "  gain n/a"))
     if "brute_force_strength" in report:
         print(f"brute force strength {report['brute_force_strength']:.6g}  "
               f"gap {report['gap_to_brute_force']:.3g}")
     return 0
-
-
-def _ris_off_scenario(cfg: ExperimentConfig):
-    return dataclasses.replace(cfg.scenario, ris=RisChannel.empty(),
-                               name=cfg.scenario.name + "_ris_off")
 
 
 def _dataset_paths(cfg: ExperimentConfig) -> dict[str, Path]:
@@ -143,28 +137,30 @@ def _dataset_paths(cfg: ExperimentConfig) -> dict[str, Path]:
     }
 
 
-def _generate_datasets(cfg: ExperimentConfig) -> dict[str, Path]:
+def _generate_datasets(cfg: ExperimentConfig, paths: dict[str, Path]) -> None:
+    """Render and save each named dataset (ris_on, ris_off) to its path."""
     # reject a config whose datasets could not be split or trained on before
     # spending the optimizer and render time on it
     shape_chain(cfg.scenario.packet_count, cfg.scenario.grid.count, len(cfg.profiles))
     if cfg.episodes_per_subject < 3:
         raise ValueError(f"episodes_per_subject is {cfg.episodes_per_subject}, "
                          "need at least 3 to split each subject")
-    trace, _, _ = _run_optimizer(cfg)
-    paths = _dataset_paths(cfg)
-    on = generate_dataset(cfg.profiles, cfg.scenario, trace.best_codebook,
-                          cfg.episodes_per_subject, cfg.dataset_seed)
-    save_dataset(paths["ris_on"], on)
-    off = generate_dataset(cfg.profiles, _ris_off_scenario(cfg), Codebook.zeros(0, 0),
-                           cfg.episodes_per_subject, cfg.dataset_seed)
-    save_dataset(paths["ris_off"], off)
-    return paths
+    for name, path in paths.items():
+        if name == "ris_on":
+            scenario, codebook = cfg.scenario, _search(cfg)[1].best_codebook
+        else:  # the same room with the surface removed needs no codebook
+            scenario = dataclasses.replace(cfg.scenario, ris=RisChannel.empty(),
+                                           name=cfg.scenario.name + "_ris_off")
+            codebook = Codebook.zeros(0, 0)
+        save_dataset(path, generate_dataset(cfg.profiles, scenario, codebook,
+                                            cfg.episodes_per_subject, cfg.dataset_seed))
 
 
 def cmd_generate(args) -> int:
     cfg = _load_cfg(args)
     t0 = time.perf_counter()
-    paths = _generate_datasets(cfg)
+    paths = _dataset_paths(cfg)
+    _generate_datasets(cfg, paths)
     _write_manifest("generate", cfg, paths, t0)
     count = len(cfg.profiles) * cfg.episodes_per_subject
     t = cfg.scenario.packet_count
@@ -251,23 +247,18 @@ def cmd_evaluate(args) -> int:
 def cmd_ablate(args) -> int:
     cfg = _load_cfg(args)
     t0 = time.perf_counter()
-    defaults = _dataset_paths(cfg)
     paths = {}
-    explicit = {"ris_on": args.ris_on, "ris_off": args.ris_off}
-    for name, override in explicit.items():
+    for name, override in (("ris_on", args.ris_on), ("ris_off", args.ris_off)):
         if override is not None:
-            path = Path(override)
-            if not path.exists():
-                raise FileNotFoundError(f"dataset not found: {path}")
-            paths[name] = path
-    missing_defaults = {name for name in defaults
-                        if name not in paths and not defaults[name].exists()}
-    if missing_defaults:
-        generated = _generate_datasets(cfg)
-        for name in missing_defaults:
-            paths.setdefault(name, generated[name])
-    for name, path in defaults.items():
-        paths.setdefault(name, path)
+            paths[name] = Path(override)
+            if not paths[name].exists():
+                raise FileNotFoundError(f"dataset not found: {paths[name]}")
+    defaults = _dataset_paths(cfg)
+    missing = {name: path for name, path in defaults.items()
+               if name not in paths and not path.exists()}
+    if missing:
+        _generate_datasets(cfg, missing)
+    paths = {**defaults, **paths}
 
     report = {}
     for name in ("ris_off", "ris_on"):
