@@ -5,6 +5,7 @@ conv/pool stages that squeeze the subcarrier axis down to a small feature map,
 a flatten, and one fully connected layer producing class logits.  Softmax is
 applied only by the loss and by `predict`.
 
+`shape_chain` and the model's layer list both walk one stage table.
 `shape_chain` computes every intermediate output size for a given input frame,
 which doubles as the construction-time shape check and the `shapes` CLI
 command.  Checkpoints are a small binary format: magic, version, input geometry,
@@ -39,6 +40,23 @@ _LAYER_CODES = range(1, 8)  # the kind codes _layer_record writes
 _PREDICT_CHUNK = 32
 
 
+# The stages between the input and the flatten, as (name, kind, output
+# channels, stride, padding).  Every convolution is 3x3 and every conv stage
+# is conv -> BatchNorm -> ReLU; a residual block keeps its channel count and
+# its convolutions pad by 1; a pool halves both axes.
+_STAGES = (
+    ("conv1", "conv", 8, 2, 0),
+    ("res_block1", "residual", 8, 2, 1),
+    ("res_block2", "residual", 8, 1, 1),
+    ("pool1", "pool", 8, 2, 0),
+    ("conv2", "conv", 16, 2, 0),
+    ("pool2", "pool", 16, 2, 0),
+    ("conv3", "conv", 8, 2, 1),
+    ("pool3", "pool", 8, 2, 0),
+    ("conv4", "conv", 8, 2, 1),
+)
+
+
 def shape_chain(frame_height: int, frame_width: int, class_count: int) -> list[tuple[str, tuple]]:
     """Return (stage name, output shape) pairs for the whole network.
 
@@ -51,35 +69,18 @@ def shape_chain(frame_height: int, frame_width: int, class_count: int) -> list[t
     if class_count < 2:
         raise ValueError("need at least two classes")
 
-    def conv(hw, k, s, p):
-        return (conv_output_size(hw[0], k, s, p), conv_output_size(hw[1], k, s, p))
-
-    def pool(hw):
-        oh, ow = hw[0] // 2, hw[1] // 2
-        if oh < 1 or ow < 1:
-            raise ValueError(f"pooling collapsed a {hw[0]}x{hw[1]} map")
-        return (oh, ow)
-
     chain: list[tuple[str, tuple]] = [("input", (1, frame_height, frame_width))]
-    hw = (frame_height, frame_width)
-    hw = conv(hw, 3, 2, 0)
-    chain.append(("conv1", (8, *hw)))
-    hw = conv(hw, 3, 2, 1)
-    chain.append(("res_block1", (8, *hw)))
-    chain.append(("res_block2", (8, *hw)))
-    hw = pool(hw)
-    chain.append(("pool1", (8, *hw)))
-    hw = conv(hw, 3, 2, 0)
-    chain.append(("conv2", (16, *hw)))
-    hw = pool(hw)
-    chain.append(("pool2", (16, *hw)))
-    hw = conv(hw, 3, 2, 1)
-    chain.append(("conv3", (8, *hw)))
-    hw = pool(hw)
-    chain.append(("pool3", (8, *hw)))
-    hw = conv(hw, 3, 2, 1)
-    chain.append(("conv4", (8, *hw)))
-    chain.append(("fc_in", (8 * hw[0] * hw[1],)))
+    h, w = frame_height, frame_width
+    for name, kind, channels, stride, padding in _STAGES:
+        if kind == "pool":
+            if h // stride < 1 or w // stride < 1:
+                raise ValueError(f"pooling collapsed a {h}x{w} map")
+            h, w = h // stride, w // stride
+        else:
+            h = conv_output_size(h, 3, stride, padding)
+            w = conv_output_size(w, 3, stride, padding)
+        chain.append((name, (channels, h, w)))
+    chain.append(("fc_in", (channels * h * w,)))
     chain.append(("output", (class_count,)))
     return chain
 
@@ -96,27 +97,19 @@ class RcnnModel:
         self.dtype = np.dtype(dtype)
         self.feature_count = chain[-2][1][0]
         rng = np.random.default_rng(mix_seeds(seed, 0x6D6F64656C))
-        self.layers = [
-            Conv2d(1, 8, (3, 3), (2, 2), (0, 0), rng, dtype),
-            BatchNorm2d(8, dtype=dtype),
-            ReLU(),
-            ResidualBlock(8, stride=2, rng=rng, dtype=dtype),
-            ResidualBlock(8, stride=1, rng=rng, dtype=dtype),
-            MaxPool2d(2),
-            Conv2d(8, 16, (3, 3), (2, 2), (0, 0), rng, dtype),
-            BatchNorm2d(16, dtype=dtype),
-            ReLU(),
-            MaxPool2d(2),
-            Conv2d(16, 8, (3, 3), (2, 2), (1, 1), rng, dtype),
-            BatchNorm2d(8, dtype=dtype),
-            ReLU(),
-            MaxPool2d(2),
-            Conv2d(8, 8, (3, 3), (2, 2), (1, 1), rng, dtype),
-            BatchNorm2d(8, dtype=dtype),
-            ReLU(),
-            Flatten(),
-            Linear(self.feature_count, class_count, rng, dtype),
-        ]
+        self.layers = []
+        c_in = 1
+        for _, kind, c_out, stride, padding in _STAGES:
+            if kind == "conv":
+                self.layers += [Conv2d(c_in, c_out, (3, 3), (stride, stride), (padding, padding),
+                                       rng, dtype),
+                                BatchNorm2d(c_out, dtype=dtype), ReLU()]
+            elif kind == "residual":
+                self.layers.append(ResidualBlock(c_out, stride=stride, rng=rng, dtype=dtype))
+            else:
+                self.layers.append(MaxPool2d(stride))
+            c_in = c_out
+        self.layers += [Flatten(), Linear(self.feature_count, class_count, rng, dtype)]
         # zero classifier head: a fresh model scores the uniform-softmax
         # baseline (loss ln K) before any updates
         self.layers[-1].w.data[...] = 0.0
@@ -168,8 +161,8 @@ def _layer_record(layer) -> tuple[int, ...]:
         k = layer.kernel
         return (4, k, k, k, k, 0, 0, 0)
     if isinstance(layer, ResidualBlock):
-        s = layer.stride
-        return (5, 3, 3, s, s, 1, 1, layer.channels)
+        conv = layer.conv1
+        return (5, *conv.kernel, *conv.stride, *conv.padding, conv.c_out)
     if isinstance(layer, Flatten):
         return (6, 0, 0, 0, 0, 0, 0, 0)
     if isinstance(layer, Linear):
