@@ -247,18 +247,16 @@ def cmd_evaluate(args) -> int:
 def cmd_ablate(args) -> int:
     cfg = _load_cfg(args)
     t0 = time.perf_counter()
-    paths = {}
+    paths = _dataset_paths(cfg)
     for name, override in (("ris_on", args.ris_on), ("ris_off", args.ris_off)):
         if override is not None:
             paths[name] = Path(override)
             if not paths[name].exists():
                 raise FileNotFoundError(f"dataset not found: {paths[name]}")
-    defaults = _dataset_paths(cfg)
-    missing = {name: path for name, path in defaults.items()
-               if name not in paths and not path.exists()}
+    # explicit datasets exist by now, so only missing defaults are made
+    missing = {name: path for name, path in paths.items() if not path.exists()}
     if missing:
         _generate_datasets(cfg, missing)
-    paths = {**defaults, **paths}
 
     report = {}
     for name in ("ris_off", "ris_on"):

@@ -87,13 +87,27 @@ def _check_keys(doc: dict) -> None:
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     for section, allowed in _SECTION_KEYS.items():
-        extra = set(doc.get(section, {})) - allowed
+        body = doc.get(section, {})
+        if not isinstance(body, dict):
+            raise ValueError(f"config section {section!r} must be an object")
+        extra = set(body) - allowed
         if extra:
             raise ValueError(f"unknown keys in config section {section!r}: {sorted(extra)}")
 
 
-def _pick_seed(explicit, top_seed: int, salt: int) -> int:
-    return int(explicit) if explicit is not None else mix_seeds(top_seed, salt)
+def _read(section: dict, key: str, default, kind=int):
+    """section[key], or the default, as `kind`; a str key must hold a string."""
+    value = section.get(key, default)
+    try:
+        if kind is not str or isinstance(value, str):
+            return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"config key {key!r} is not a valid {kind.__name__}: {value!r}")
+
+
+def _pick_seed(section: dict, key: str, top_seed: int, salt: int) -> int:
+    return mix_seeds(top_seed, salt) if section.get(key) is None else _read(section, key, None)
 
 
 def resolve_config(doc: dict, seed_override: int | None = None,
@@ -107,31 +121,30 @@ def resolve_config(doc: dict, seed_override: int | None = None,
         doc["seed"] = int(seed_override)
     if output_override is not None:
         doc["output_dir"] = str(output_override)
-    top_seed = int(doc.get("seed", 0))
+    top_seed = _read(doc, "seed", 0)
 
     sc = doc.get("scenario", {})
-    scenario_seed = _pick_seed(sc.get("seed"), top_seed, _SALT_SCENARIO)
+    ris_rows, ris_cols = _read(sc, "ris_rows", 16), _read(sc, "ris_cols", 16)
+    scenario_seed = _pick_seed(sc, "seed", top_seed, _SALT_SCENARIO)
     scenario = default_scenario(
-        name=sc.get("name", "desk"),
-        subcarriers=int(sc.get("subcarriers", 256)),
+        name=_read(sc, "name", "desk", str),
+        subcarriers=_read(sc, "subcarriers", 256),
         seed=scenario_seed,
-        noise_variance=float(sc.get("noise_variance", 0.5)),
-        wall_attenuation_db=float(sc.get("wall_attenuation_db", 45.0)),
-        dynamic_path_count=int(sc.get("dynamic_path_count", 3)),
-        ris_rows=int(sc.get("ris_rows", 16)),
-        ris_cols=int(sc.get("ris_cols", 16)),
+        noise_variance=_read(sc, "noise_variance", 0.5, float),
+        wall_attenuation_db=_read(sc, "wall_attenuation_db", 45.0, float),
+        dynamic_path_count=_read(sc, "dynamic_path_count", 3),
+        ris_rows=ris_rows, ris_cols=ris_cols,
     )
-    if "packets_per_second" in sc or "duration_s" in sc:
-        scenario = dataclasses.replace(
-            scenario,
-            packets_per_second=int(sc.get("packets_per_second", 50)),
-            duration_s=float(sc.get("duration_s", 3.0)),
-        )
+    scenario = dataclasses.replace(
+        scenario,
+        packets_per_second=_read(sc, "packets_per_second", 50),
+        duration_s=_read(sc, "duration_s", 3.0, float),
+    )
 
     sub = doc.get("subjects", {})
     profiles = default_profiles(
-        count=int(sub.get("count", 4)),
-        seed=_pick_seed(sub.get("seed"), top_seed, _SALT_SUBJECTS),
+        count=_read(sub, "count", 4),
+        seed=_pick_seed(sub, "seed", top_seed, _SALT_SUBJECTS),
     )
 
     opt = doc.get("optimizer", {})
@@ -139,27 +152,26 @@ def resolve_config(doc: dict, seed_override: int | None = None,
     ds = doc.get("dataset", {})
     tr = doc.get("train", {})
     train = TrainConfig(
-        learning_rate=float(tr.get("learning_rate", 1e-3)),
-        batch_size=int(tr.get("batch_size", 8)),
-        epochs=int(tr.get("epochs", 20)),
-        seed=_pick_seed(tr.get("seed"), top_seed, _SALT_TRAIN),
+        learning_rate=_read(tr, "learning_rate", 1e-3, float),
+        batch_size=_read(tr, "batch_size", 8),
+        epochs=_read(tr, "epochs", 20),
+        seed=_pick_seed(tr, "seed", top_seed, _SALT_TRAIN),
     )
 
     return ExperimentConfig(
         scenario=scenario,
-        ris_rows=int(sc.get("ris_rows", 16)),
-        ris_cols=int(sc.get("ris_cols", 16)),
+        ris_rows=ris_rows, ris_cols=ris_cols,
         profiles=profiles,
-        outer_iters=int(opt.get("outer_iters", 5)),
-        probe_noise_std=float(opt.get("probe_noise_std", 0.0)),
-        probe_seed=_pick_seed(opt.get("probe_seed"), top_seed, _SALT_PROBE),
-        episodes_per_subject=int(ds.get("episodes_per_subject", 50)),
-        dataset_seed=_pick_seed(ds.get("seed"), top_seed, _SALT_DATASET),
-        filter_spec=FilterSpec(window=int(pipe.get("window", 5))),
-        split_seed=_pick_seed(pipe.get("split_seed"), top_seed, _SALT_SPLIT),
+        outer_iters=_read(opt, "outer_iters", 5),
+        probe_noise_std=_read(opt, "probe_noise_std", 0.0, float),
+        probe_seed=_pick_seed(opt, "probe_seed", top_seed, _SALT_PROBE),
+        episodes_per_subject=_read(ds, "episodes_per_subject", 50),
+        dataset_seed=_pick_seed(ds, "seed", top_seed, _SALT_DATASET),
+        filter_spec=FilterSpec(window=_read(pipe, "window", 5)),
+        split_seed=_pick_seed(pipe, "split_seed", top_seed, _SALT_SPLIT),
         train=train,
-        model_seed=_pick_seed(tr.get("model_seed"), top_seed, _SALT_MODEL),
-        output_dir=Path(doc.get("output_dir", "runs/default")),
+        model_seed=_pick_seed(tr, "model_seed", top_seed, _SALT_MODEL),
+        output_dir=Path(_read(doc, "output_dir", "runs/default", str)),
         raw=doc,
     )
 

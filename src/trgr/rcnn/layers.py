@@ -244,8 +244,6 @@ class ResidualBlock:
 
     def __init__(self, channels: int, stride: int = 1,
                  rng: np.random.Generator | None = None, dtype=np.float64):
-        self.channels = channels
-        self.stride = stride
         self.conv1 = Conv2d(channels, channels, (3, 3), (stride, stride), (1, 1), rng, dtype)
         self.bn1 = BatchNorm2d(channels, dtype=dtype)
         self.relu1 = ReLU()

@@ -5,12 +5,11 @@ conv/pool stages that squeeze the subcarrier axis down to a small feature map,
 a flatten, and one fully connected layer producing class logits.  Softmax is
 applied only by the loss and by `predict`.
 
-`shape_chain` and the model's layer list both walk one stage table.
-`shape_chain` computes every intermediate output size for a given input frame,
-which doubles as the construction-time shape check and the `shapes` CLI
-command.  Checkpoints are a small binary format: magic, version, input geometry,
-a layer table, then every parameter and BatchNorm running statistic as
-float32 in layer order.
+`shape_chain` walks the same stage table as the layer list to compute every
+output size for a given input frame, which doubles as the construction-time
+shape check and the `shapes` CLI command.  Checkpoints are a small binary
+format: magic, version, input geometry, a layer table, then every parameter
+and BatchNorm running statistic as float32 in layer order.
 """
 from __future__ import annotations
 
@@ -101,9 +100,8 @@ class RcnnModel:
         c_in = 1
         for _, kind, c_out, stride, padding in _STAGES:
             if kind == "conv":
-                self.layers += [Conv2d(c_in, c_out, (3, 3), (stride, stride), (padding, padding),
-                                       rng, dtype),
-                                BatchNorm2d(c_out, dtype=dtype), ReLU()]
+                conv = Conv2d(c_in, c_out, (3, 3), (stride, stride), (padding, padding), rng, dtype)
+                self.layers += [conv, BatchNorm2d(c_out, dtype=dtype), ReLU()]
             elif kind == "residual":
                 self.layers.append(ResidualBlock(c_out, stride=stride, rng=rng, dtype=dtype))
             else:

@@ -318,3 +318,11 @@ class TestConfigErrors:
         bad.write_text(json.dumps({"sceanrio": {}}))
         assert main(["optimize", "--config", str(bad)]) == 1
         assert "unknown config keys" in capsys.readouterr().err
+
+    def test_wrong_typed_name_fails_before_any_dataset(self, tmp_path, capsys):
+        out = tmp_path / "typed"
+        cfg = write_config(tmp_path, out, scenario={"name": 5})
+        assert main(["generate", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not list(out.glob("dataset_*.bin"))

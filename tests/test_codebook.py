@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from trgr.codebook import Codebook, line_flip, phase_matrix
 
@@ -48,10 +50,12 @@ class TestConstruction:
 
 
 class TestTextFormat:
-    def test_round_trip(self):
-        cb = Codebook(np.array([[0, 1, 1], [1, 0, 0]]))
-        again = Codebook.from_text(cb.to_text())
-        assert again == cb
+    @given(rows=st.integers(1, 8), cols=st.integers(1, 8), data=st.data())
+    def test_round_trip(self, rows, cols, data):
+        n = rows * cols
+        bits = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n), label="bits")
+        cb = Codebook(np.array(bits, dtype=np.uint8).reshape(rows, cols))
+        assert Codebook.from_text(cb.to_text()) == cb
 
     def test_text_layout(self):
         cb = Codebook(np.array([[0, 1], [1, 1]]))

@@ -110,6 +110,28 @@ class TestOverridesAndSections:
         with pytest.raises(ValueError):
             resolve_config([1, 2, 3])
 
+    @pytest.mark.parametrize("doc", [
+        {"scenario": 5},
+        {"scenario": None},
+        {"scenario": {"subcarriers": None}},
+        {"seed": [1]},
+        {"seed": float("inf")},
+        {"train": {"model_seed": {}}},
+        {"subjects": {"count": "four"}},
+        {"scenario": {"name": 5}},
+        {"output_dir": 5},
+    ])
+    def test_wrong_typed_value_rejected(self, doc):
+        with pytest.raises(ValueError, match="config"):
+            resolve_config(doc)
+
+    def test_numeric_strings_still_convert(self):
+        cfg = resolve_config({"seed": "3", "scenario": {"subcarriers": "128"},
+                              "train": {"learning_rate": "0.01"}})
+        assert cfg.scenario.grid.count == 128
+        assert cfg.train.learning_rate == 0.01
+        assert cfg.dataset_seed == resolve_config({"seed": 3}).dataset_seed
+
 
 class TestLoadConfig:
     def test_reads_json_file(self, tmp_path):

@@ -1,9 +1,13 @@
 """Loss, optimizer, batchnorm invariants, the training loop, and checkpoints."""
 import csv
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trgr.gait import CsiRecording
 from trgr.pipeline import DatasetSplit
@@ -270,12 +274,18 @@ class TestCheckpoint:
         assert np.allclose(a, b, atol=1e-4)  # float32 quantization on disk
         assert np.array_equal(model.predict(x), loaded.predict(x))
 
-    def test_save_load_save_is_byte_identical(self, tmp_path):
-        model = self.make_model()
-        p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
-        save_model(model, p1)
-        save_model(load_model(p1), p2)
-        assert p1.read_bytes() == p2.read_bytes()
+    @settings(max_examples=15, deadline=None)
+    @given(h=st.integers(103, 160), w=st.integers(103, 300), k=st.integers(2, 10),
+           seed=st.integers(0, 2**32 - 1))
+    @example(h=H, w=W, k=3, seed=11)
+    def test_save_load_save_is_byte_identical(self, h, w, k, seed):
+        model = RcnnModel(h, w, k, seed=seed)
+        model.forward(np.random.default_rng(seed).standard_normal((2, 1, h, w)), training=True)
+        with tempfile.TemporaryDirectory() as tmp:
+            p1, p2 = Path(tmp) / "a.bin", Path(tmp) / "b.bin"
+            save_model(model, p1)
+            save_model(load_model(p1), p2)
+            assert p1.read_bytes() == p2.read_bytes()
 
     def test_header_layout(self, tmp_path):
         model = self.make_model(k=4)
@@ -306,13 +316,18 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             load_model(path)
 
-    def test_truncation_rejected(self, tmp_path):
-        path = tmp_path / "t.bin"
-        save_model(self.make_model(), path)
-        data = path.read_bytes()
-        path.write_bytes(data[:len(data) // 2])
-        with pytest.raises(ValueError):
-            load_model(path)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_truncation_rejected(self, data):
+        # a cut anywhere, in the header, the layer table or the parameters
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.bin"
+            save_model(RcnnModel(H, W, 3, seed=11), path)
+            raw = path.read_bytes()
+            cut = data.draw(st.integers(0, len(raw) - 1), label="cut")
+            path.write_bytes(raw[:cut])
+            with pytest.raises(ValueError):
+                load_model(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "x.bin"
