@@ -23,6 +23,8 @@ import numpy as np
 from .codebook import Codebook, phase_matrix
 
 TWO_PI = 2.0 * math.pi
+CENTER_FREQUENCY_HZ = 5.8e9
+BANDWIDTH_HZ = 160e6
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,24 +112,20 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class SubcarrierGrid:
-    """Uniform grid of S subcarriers spanning center +/- bandwidth/2."""
+    """Uniform grid of S subcarriers spanning CENTER_FREQUENCY_HZ +/- BANDWIDTH_HZ/2."""
 
     count: int
-    center_frequency: float = 5.8e9
-    bandwidth: float = 160e6
 
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("subcarrier count must be >= 1")
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be > 0")
 
     def frequencies(self) -> np.ndarray:
         """Subcarrier k sits at center - bw/2 + k*bw/(S-1); a lone subcarrier sits at center."""
         if self.count == 1:
-            return np.array([self.center_frequency])
+            return np.array([CENTER_FREQUENCY_HZ])
         k = np.arange(self.count, dtype=np.float64)
-        return self.center_frequency - self.bandwidth / 2.0 + k * self.bandwidth / (self.count - 1)
+        return CENTER_FREQUENCY_HZ - BANDWIDTH_HZ / 2.0 + k * BANDWIDTH_HZ / (self.count - 1)
 
 
 def combined_taps(direct: Taps, ris: RisChannel, codebook: Codebook) -> Taps:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import sys
 import time
@@ -29,13 +28,12 @@ from .config import (
     build_manifest,
     load_config,
     resolve_config,
-    write_manifest,
+    write_json,
 )
 from .gait import generate_dataset
 from .pipeline import denoise_recording, load_dataset, normalize, save_dataset, split_dataset
-from .rcnn.metrics import evaluate
 from .rcnn.model import RcnnModel, load_model, save_model, shape_chain
-from .rcnn.training import train, write_training_log
+from .rcnn.training import evaluate, train, write_training_log
 from .ris import BRUTE_FORCE_MAX_BITS, brute_force, optimize, snr_probe
 
 
@@ -48,16 +46,10 @@ def _load_cfg(args) -> ExperimentConfig:
     return cfg
 
 
-def _write_json(path: Path, doc: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-
-
-def _write_manifest(command: str, cfg: ExperimentConfig, artifacts: dict[str, Path],
+def _save_manifest(command: str, cfg: ExperimentConfig, artifacts: dict[str, Path],
                     t0: float) -> None:
     manifest = build_manifest(command, cfg, artifacts, {"total": time.perf_counter() - t0})
-    write_manifest(manifest, cfg.output_dir / f"manifest_{command}.json")
+    write_json(cfg.output_dir / f"manifest_{command}.json", manifest)
 
 
 def _percent(x: float) -> float:
@@ -117,8 +109,8 @@ def cmd_optimize(args) -> int:
     report_path = out / "snr_report.json"
     codebook_path.write_text(trace.best_codebook.to_text())
     trace.to_csv(trace_path)
-    _write_json(report_path, report)
-    _write_manifest("optimize", cfg, {
+    write_json(report_path, report)
+    _save_manifest("optimize", cfg, {
         "codebook": codebook_path, "trace": trace_path, "snr_report": report_path,
     }, t0)
     gain = report["gain_db"]
@@ -149,8 +141,7 @@ def _generate_datasets(cfg: ExperimentConfig, paths: dict[str, Path]) -> None:
         if name == "ris_on":
             scenario, codebook = cfg.scenario, _search(cfg)[1].best_codebook
         else:  # the same room with the surface removed needs no codebook
-            scenario = dataclasses.replace(cfg.scenario, ris=RisChannel.empty(),
-                                           name=cfg.scenario.name + "_ris_off")
+            scenario = dataclasses.replace(cfg.scenario, ris=RisChannel.empty())
             codebook = Codebook.zeros(0, 0)
         save_dataset(path, generate_dataset(cfg.profiles, scenario, codebook,
                                             cfg.episodes_per_subject, cfg.dataset_seed))
@@ -161,7 +152,7 @@ def cmd_generate(args) -> int:
     t0 = time.perf_counter()
     paths = _dataset_paths(cfg)
     _generate_datasets(cfg, paths)
-    _write_manifest("generate", cfg, paths, t0)
+    _save_manifest("generate", cfg, paths, t0)
     count = len(cfg.profiles) * cfg.episodes_per_subject
     t = cfg.scenario.packet_count
     s = cfg.scenario.grid.count
@@ -209,8 +200,8 @@ def cmd_train(args) -> int:
     save_model(model, ckpt_path)
     write_training_log(logs, log_path)
     doc = _metrics_doc(metrics)
-    _write_json(metrics_path, doc)
-    _write_manifest("train", cfg, {
+    write_json(metrics_path, doc)
+    _save_manifest("train", cfg, {
         "checkpoint": ckpt_path, "training_log": log_path, "metrics": metrics_path,
         "dataset": dataset_path,
     }, t0)
@@ -236,8 +227,8 @@ def cmd_evaluate(args) -> int:
     doc = _metrics_doc(metrics)
     doc["split"] = args.split
     metrics_path = cfg.output_dir / "eval_metrics.json"
-    _write_json(metrics_path, doc)
-    _write_manifest("evaluate", cfg, {
+    write_json(metrics_path, doc)
+    _save_manifest("evaluate", cfg, {
         "metrics": metrics_path, "dataset": dataset_path, "checkpoint": model_path,
     }, t0)
     _print_metrics(f"{args.split}:", doc)
@@ -269,8 +260,8 @@ def cmd_ablate(args) -> int:
     print(f"accuracy delta {report['accuracy_delta_pp']:+.2f} pp (ris_on - ris_off)")
 
     report_path = cfg.output_dir / "ablation_report.json"
-    _write_json(report_path, report)
-    _write_manifest("ablate", cfg, {"ablation_report": report_path}, t0)
+    write_json(report_path, report)
+    _save_manifest("ablate", cfg, {"ablation_report": report_path}, t0)
     return 0
 
 

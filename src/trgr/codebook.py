@@ -8,9 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-DEFAULT_ROWS = 16
-DEFAULT_COLS = 16
-
 
 class Codebook:
     """Immutable R x C binary on/off grid; bit b maps to phase b*pi."""
@@ -31,7 +28,7 @@ class Codebook:
         raise AttributeError("Codebook is immutable")
 
     @classmethod
-    def zeros(cls, rows: int = DEFAULT_ROWS, cols: int = DEFAULT_COLS) -> "Codebook":
+    def zeros(cls, rows: int, cols: int) -> "Codebook":
         return cls(np.zeros((rows, cols), dtype=np.uint8))
 
     @property

@@ -26,15 +26,16 @@ Schema (all sections optional, defaults shown):
 """
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
+import math
 import platform
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .gait import ScenarioConfig, SubjectProfile, default_profiles, default_scenario
 from .pipeline import FilterSpec
 from .rcnn.training import TrainConfig
@@ -96,14 +97,18 @@ def _check_keys(doc: dict) -> None:
 
 
 def _read(section: dict, key: str, default, kind=int):
-    """section[key], or the default, as `kind`; a str key must hold a string."""
+    """section[key], or the default, as `kind`; a str key must hold a string
+    and a float key a finite number."""
     value = section.get(key, default)
     try:
         if kind is not str or isinstance(value, str):
-            return kind(value)
+            result = kind(value)
+            if kind is not float or math.isfinite(result):
+                return result
     except (TypeError, ValueError, OverflowError):
         pass
-    raise ValueError(f"config key {key!r} is not a valid {kind.__name__}: {value!r}")
+    what = "finite float" if kind is float else kind.__name__
+    raise ValueError(f"config key {key!r} is not a valid {what}: {value!r}")
 
 
 def _pick_seed(section: dict, key: str, top_seed: int, salt: int) -> int:
@@ -134,9 +139,6 @@ def resolve_config(doc: dict, seed_override: int | None = None,
         wall_attenuation_db=_read(sc, "wall_attenuation_db", 45.0, float),
         dynamic_path_count=_read(sc, "dynamic_path_count", 3),
         ris_rows=ris_rows, ris_cols=ris_cols,
-    )
-    scenario = dataclasses.replace(
-        scenario,
         packets_per_second=_read(sc, "packets_per_second", 50),
         duration_s=_read(sc, "duration_s", 3.0, float),
     )
@@ -198,31 +200,34 @@ def file_digest(path) -> str:
 
 def build_manifest(command: str, cfg: ExperimentConfig, artifacts: dict[str, Path],
                    timings: dict[str, float]) -> dict:
-    """Record what a command produced: config hash, artifact hashes, versions."""
-    from . import __version__
+    """Record what a command produced: config hash, artifact hashes, versions.
 
+    Keys are in sorted order at every level, so `write_json` lays out every
+    manifest the same way.
+    """
     return {
-        "command": command,
-        "config_sha256": config_digest(cfg),
-        "seed": int(cfg.raw.get("seed", 0)),
         "artifacts": {
             name: {
+                "bytes": Path(path).stat().st_size,
                 "path": str(path),
                 "sha256": file_digest(path),
-                "bytes": Path(path).stat().st_size,
             }
             for name, path in sorted(artifacts.items())
         },
+        "command": command,
+        "config_sha256": config_digest(cfg),
+        "seed": int(cfg.raw.get("seed", 0)),
+        "timings_s": {k: round(v, 3) for k, v in sorted(timings.items())},
         "versions": {
-            "package": __version__,
             "numpy": np.__version__,
+            "package": __version__,
             "python": platform.python_version(),
         },
-        "timings_s": {k: round(v, 3) for k, v in timings.items()},
     }
 
 
-def write_manifest(manifest: dict, path) -> None:
+def write_json(path, doc: dict) -> None:
+    """Write a JSON artifact: two-space indent, keys in the document's order."""
     with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2)
         fh.write("\n")

@@ -31,8 +31,6 @@ from .channel import NoiseSpec, RisChannel, SubcarrierGrid, Taps, combined_taps,
 from .codebook import Codebook
 from .seeds import mix_seeds
 
-VACANT = 0xFFFF  # label for renders with nobody walking
-
 MAX_DOPPLER_HZ = 18.0          # |per-path Doppler| bound, below Nyquist at 50 pkt/s
 DYNAMIC_DELAY_RANGE_S = (10e-9, 120e-9)
 PACE_TO_DOPPLER_HZ = 6.5       # torso Doppler per unit cadence (speed scales with step rate)
@@ -54,8 +52,8 @@ class SubjectProfile:
     signature_seed: int
 
     def __post_init__(self):
-        if not 0 <= self.subject_id < VACANT:
-            raise ValueError(f"subject_id must be in [0, {VACANT}), got {self.subject_id}")
+        if not 0 <= self.subject_id <= 0xFFFF:
+            raise ValueError(f"subject_id must fit the u16 dataset label, got {self.subject_id}")
         if self.cadence_hz <= 0:
             raise ValueError("cadence must be > 0")
         if self.torso_amp < 0 or self.limb_amp < 0:
@@ -74,10 +72,10 @@ class ScenarioConfig:
     ris: RisChannel
     grid: SubcarrierGrid
     noise: NoiseSpec
-    wall_attenuation_db: float = 0.0
-    dynamic_path_count: int = 6
-    packets_per_second: int = 50
-    duration_s: float = 3.0
+    wall_attenuation_db: float
+    dynamic_path_count: int
+    packets_per_second: int
+    duration_s: float
 
     def __post_init__(self):
         if self.wall_attenuation_db < 0:
@@ -94,11 +92,10 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class CsiRecording:
-    """T x S CSI magnitude tensor for one walking (or vacant) episode."""
+    """T x S CSI magnitude tensor for one walking episode."""
 
     magnitudes: np.ndarray
     label: int
-    scenario: str
     episode_seed: int
 
     def __post_init__(self):
@@ -112,9 +109,6 @@ class CsiRecording:
     @property
     def shape(self) -> tuple[int, int]:
         return self.magnitudes.shape
-
-    def with_magnitudes(self, magnitudes: np.ndarray) -> "CsiRecording":
-        return CsiRecording(magnitudes, self.label, self.scenario, self.episode_seed)
 
 
 def _gait_draws(profile: SubjectProfile, episode_seed: int, path_count: int):
@@ -176,10 +170,8 @@ def dynamic_coupling(scenario: ScenarioConfig) -> float:
     """
     leak = 10.0 ** (-scenario.wall_attenuation_db / 20.0)
     ris = scenario.ris
-    if ris.n_elements == 0:
-        return leak
     aperture = math.sqrt(float(np.sum(np.abs(ris.tx_to_ris * ris.ris_to_rx) ** 2)))
-    return leak + aperture
+    return leak + aperture  # an empty surface adds 0.0
 
 
 def _static_response(scenario: ScenarioConfig, codebook: Codebook) -> np.ndarray:
@@ -189,33 +181,31 @@ def _static_response(scenario: ScenarioConfig, codebook: Codebook) -> np.ndarray
     return frequency_response(combined_taps(leak, scenario.ris, codebook), scenario.grid)
 
 
-def _render(profile: SubjectProfile | None, scenario: ScenarioConfig,
+def _render(profile: SubjectProfile, scenario: ScenarioConfig,
             static_fr: np.ndarray, episode_seed: int) -> CsiRecording:
     """One episode on top of a precomputed static response."""
     grid = scenario.grid
     T = scenario.packet_count
     response = np.broadcast_to(static_fr, (T, grid.count)).copy()
-    if profile is not None and scenario.dynamic_path_count > 0:
-        t = np.arange(T) / scenario.packets_per_second
-        delays, psi, doppler, phi0, base = _gait_draws(profile, episode_seed,
-                                                       scenario.dynamic_path_count)
-        amps = _envelopes(profile, psi, base, t)                          # (T, P)
-        phases = phi0[None, :] + 2.0 * math.pi * np.outer(t, doppler)    # (T, P)
-        steering = np.exp(-1j * 2.0 * math.pi * np.outer(delays, grid.frequencies()))  # (P, S)
-        response += dynamic_coupling(scenario) * (amps * np.exp(1j * phases)) @ steering
+    t = np.arange(T) / scenario.packets_per_second
+    delays, psi, doppler, phi0, base = _gait_draws(profile, episode_seed,
+                                                   scenario.dynamic_path_count)
+    amps = _envelopes(profile, psi, base, t)                          # (T, P)
+    phases = phi0[None, :] + 2.0 * math.pi * np.outer(t, doppler)    # (T, P)
+    steering = np.exp(-1j * 2.0 * math.pi * np.outer(delays, grid.frequencies()))  # (P, S)
+    response += dynamic_coupling(scenario) * (amps * np.exp(1j * phases)) @ steering
 
     if scenario.noise.variance > 0:
         rng = np.random.default_rng(mix_seeds(scenario.noise.seed, episode_seed, _NOISE_SALT))
         w = rng.standard_normal((2, T, grid.count)) * math.sqrt(scenario.noise.variance / 2.0)
         response += w[0] + 1j * w[1]
 
-    label = VACANT if profile is None else profile.subject_id
-    return CsiRecording(np.abs(response), label, scenario.name, episode_seed)
+    return CsiRecording(np.abs(response), profile.subject_id, episode_seed)
 
 
-def render_recording(profile: SubjectProfile | None, scenario: ScenarioConfig,
+def render_recording(profile: SubjectProfile, scenario: ScenarioConfig,
                      codebook: Codebook, episode_seed: int) -> CsiRecording:
-    """Render one episode; pass profile=None for a vacant room."""
+    """Render one episode of `profile` walking through `scenario`."""
     return _render(profile, scenario, _static_response(scenario, codebook), episode_seed)
 
 
@@ -240,9 +230,12 @@ def generate_dataset(profiles: list[SubjectProfile], scenario: ScenarioConfig,
 # ---------------------------------------------------------------------------
 # Default environments: seeded rich-scattering channels and subject pools.
 
-def rich_scattering_ris(rows: int, cols: int, seed: int,
-                        element_gain_std: float = 0.35,
-                        transit_delay_s: float = 40e-9) -> RisChannel:
+ELEMENT_GAIN_STD = 0.35    # per-hop complex-Gaussian gain std of a surface element
+TRANSIT_DELAY_S = 40e-9    # Tx -> element -> Rx delay shared by every element
+DIRECT_TAP_COUNT = 3       # through-wall leak taps
+
+
+def rich_scattering_ris(rows: int, cols: int, seed: int) -> RisChannel:
     """IID complex-Gaussian element gains with a common transit delay.
 
     A shared delay keeps the codebook phase alignment found on the narrowband
@@ -250,28 +243,29 @@ def rich_scattering_ris(rows: int, cols: int, seed: int,
     """
     n = rows * cols
     rng = np.random.default_rng(mix_seeds(seed, 0x726973))
-    s = element_gain_std / math.sqrt(2.0)
+    s = ELEMENT_GAIN_STD / math.sqrt(2.0)
     gains = rng.standard_normal((2, 2, n)) * s
     tx_to_ris = gains[0, 0] + 1j * gains[0, 1]
     ris_to_rx = gains[1, 0] + 1j * gains[1, 1]
-    return RisChannel(tx_to_ris, ris_to_rx, np.full(n, transit_delay_s))
+    return RisChannel(tx_to_ris, ris_to_rx, np.full(n, TRANSIT_DELAY_S))
 
 
-def leaky_direct_channel(seed: int, tap_count: int = 3) -> Taps:
+def leaky_direct_channel(seed: int) -> Taps:
     """Weak unaided through-wall taps (before scenario-level attenuation).
 
     Draws run tap by tap (amplitude, phase, delay, then the next tap): the
-    (tap_count, 3) draw fills rows in that order.
+    (DIRECT_TAP_COUNT, 3) draw fills rows in that order.
     """
     rng = np.random.default_rng(mix_seeds(seed, 0x646972))
-    draws = rng.uniform((0.4, 0.0, 0.0), (1.0, 2.0 * math.pi, 80e-9), (tap_count, 3))
+    draws = rng.uniform((0.4, 0.0, 0.0), (1.0, 2.0 * math.pi, 80e-9), (DIRECT_TAP_COUNT, 3))
     return Taps(draws[:, 0], draws[:, 1], draws[:, 2])
 
 
 def default_scenario(name: str = "desk", subcarriers: int = 256, seed: int = 7,
                      noise_variance: float = 0.5, wall_attenuation_db: float = 45.0,
                      dynamic_path_count: int = 3, ris_rows: int = 16,
-                     ris_cols: int = 16) -> ScenarioConfig:
+                     ris_cols: int = 16, packets_per_second: int = 50,
+                     duration_s: float = 3.0) -> ScenarioConfig:
     """Seeded 16x16 rich-scattering through-wall scenario at desk scale."""
     return ScenarioConfig(
         name=name,
@@ -281,6 +275,8 @@ def default_scenario(name: str = "desk", subcarriers: int = 256, seed: int = 7,
         noise=NoiseSpec(variance=noise_variance, seed=mix_seeds(seed, 0x6E6F69)),
         wall_attenuation_db=wall_attenuation_db,
         dynamic_path_count=dynamic_path_count,
+        packets_per_second=packets_per_second,
+        duration_s=duration_s,
     )
 
 

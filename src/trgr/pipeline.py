@@ -9,7 +9,7 @@ shuffle and a half-up round(2n/3) train count.
 Datasets travel as a little-endian binary container:
 
     magic "TRGR" | u16 version=1 | u32 T | u32 S | u32 record_count
-    per record: u16 label (0xFFFF = vacant) | u64 episode_seed
+    per record: u16 label (subject id) | u64 episode_seed
                 | T*S float32 magnitudes, row-major (time-major)
 """
 from __future__ import annotations
@@ -43,54 +43,36 @@ class FilterSpec:
             raise ValueError(f"window must be odd, got {self.window}")
 
 
-def _clipped_window_mean(values: np.ndarray, window: int) -> np.ndarray:
-    """Mean over [i-h, i+h] clipped to the series bounds, along axis 0."""
-    arr = np.asarray(values, dtype=np.float64)
-    n = arr.shape[0]
+def denoise_recording(rec: CsiRecording, spec: FilterSpec) -> CsiRecording:
+    """Moving average along the time axis, independently per subcarrier: the
+    mean over [i-h, i+h] clipped to the recording's packets."""
+    m = np.asarray(rec.magnitudes, dtype=np.float64)
+    n = m.shape[0]
     if n < 1:
-        raise ValueError("series must have at least one sample")
-    if window == 1:
-        return arr.copy()
-    half = window // 2
-    prefix = np.concatenate([np.zeros((1,) + arr.shape[1:]), np.cumsum(arr, axis=0)], axis=0)
+        raise ValueError("recording must have at least one packet")
+    if spec.window == 1:
+        return CsiRecording(m.copy(), rec.label, rec.episode_seed)
+    half = spec.window // 2
+    prefix = np.concatenate([np.zeros((1, m.shape[1])), np.cumsum(m, axis=0)], axis=0)
     idx = np.arange(n)
     lo = np.maximum(idx - half, 0)
     hi = np.minimum(idx + half + 1, n)
-    counts = (hi - lo).astype(np.float64).reshape((n,) + (1,) * (arr.ndim - 1))
-    return (prefix[hi] - prefix[lo]) / counts
-
-
-def moving_average(series: np.ndarray, spec: FilterSpec) -> np.ndarray:
-    """Denoise a 1-D series; output has the same length as the input."""
-    arr = np.asarray(series, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a 1-D series, got shape {arr.shape}")
-    return _clipped_window_mean(arr, spec.window)
-
-
-def denoise_recording(rec: CsiRecording, spec: FilterSpec) -> CsiRecording:
-    """Moving average along the time axis, independently per subcarrier."""
-    return rec.with_magnitudes(_clipped_window_mean(rec.magnitudes, spec.window))
+    counts = (hi - lo).astype(np.float64)[:, None]
+    return CsiRecording((prefix[hi] - prefix[lo]) / counts, rec.label, rec.episode_seed)
 
 
 def normalize(rec: CsiRecording) -> CsiRecording:
     """Per-recording standardization; a zero-variance recording maps to all zeros."""
     m = np.asarray(rec.magnitudes, dtype=np.float64)
     std = m.std()
-    if std == 0.0:
-        return rec.with_magnitudes(np.zeros_like(m))
-    return rec.with_magnitudes((m - m.mean()) / std)
-
-
-def _train_count(n: int) -> int:
-    return int(math.floor(2.0 * n / 3.0 + 0.5))
+    out = np.zeros_like(m) if std == 0.0 else (m - m.mean()) / std
+    return CsiRecording(out, rec.label, rec.episode_seed)
 
 
 @dataclass(frozen=True)
 class DatasetSplit:
     train: list[CsiRecording]
     test: list[CsiRecording]
-    split_seed: int
 
 
 def split_dataset(recs: list[CsiRecording], split_seed: int) -> DatasetSplit:
@@ -107,10 +89,10 @@ def split_dataset(recs: list[CsiRecording], split_seed: int) -> DatasetSplit:
         idx = np.array(by_label[label])
         rng = np.random.default_rng(mix_seeds(split_seed, label))
         perm = rng.permutation(idx.size)
-        cut = _train_count(idx.size)
+        cut = int(math.floor(2.0 * idx.size / 3.0 + 0.5))
         train.extend(recs[i] for i in idx[perm[:cut]])
         test.extend(recs[i] for i in idx[perm[cut:]])
-    return DatasetSplit(train, test, split_seed)
+    return DatasetSplit(train, test)
 
 
 def save_dataset(path, recordings: list[CsiRecording]) -> None:
@@ -151,5 +133,5 @@ def load_dataset(path) -> list[CsiRecording]:
             label, episode_seed = _RECORD_HEAD.unpack(f.read(_RECORD_HEAD.size))
             raw = f.read(block)
             mags = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(t, s)
-            recordings.append(CsiRecording(mags, label, "", episode_seed))
+            recordings.append(CsiRecording(mags, label, episode_seed))
     return recordings

@@ -12,6 +12,9 @@ import math
 
 import numpy as np
 
+BN_EPS = 1e-5       # BatchNorm variance floor
+BN_MOMENTUM = 0.1   # BatchNorm running-statistics update weight
+
 
 class Param:
     """A trainable array and the gradient from the latest backward pass."""
@@ -57,11 +60,10 @@ def _col2im(dcols: np.ndarray, padded_shape, kh: int, kw: int, sh: int, sw: int,
 
 
 class Conv2d:
-    def __init__(self, c_in: int, c_out: int, kernel=(3, 3), stride=(1, 1), padding=(0, 0),
-                 rng: np.random.Generator | None = None, dtype=np.float64):
+    def __init__(self, c_in: int, c_out: int, kernel, stride, padding,
+                 rng: np.random.Generator, dtype=np.float64):
         self.c_in, self.c_out = c_in, c_out
         self.kernel, self.stride, self.padding = tuple(kernel), tuple(stride), tuple(padding)
-        rng = rng or np.random.default_rng(0)
         fan_in = c_in * kernel[0] * kernel[1]
         self.w = Param(_kaiming_uniform(rng, (c_out, c_in, *kernel), fan_in, dtype))
         self.b = Param(np.zeros(c_out, dtype=dtype))
@@ -106,11 +108,8 @@ class Conv2d:
 
 
 class BatchNorm2d:
-    def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1,
-                 dtype=np.float64):
+    def __init__(self, channels: int, dtype=np.float64):
         self.channels = channels
-        self.eps = eps
-        self.momentum = momentum
         self.gamma = Param(np.ones(channels, dtype=dtype))
         self.beta = Param(np.zeros(channels, dtype=dtype))
         self.running_mean = np.zeros(channels, dtype=dtype)
@@ -121,11 +120,11 @@ class BatchNorm2d:
         if training:
             mean = x.mean(axis=(0, 2, 3))
             var = x.var(axis=(0, 2, 3))
-            self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
-            self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
+            self.running_mean = (1 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mean
+            self.running_var = (1 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * var
         else:
             mean, var = self.running_mean, self.running_var
-        inv_std = 1.0 / np.sqrt(var + self.eps)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat = (x - mean.reshape(1, -1, 1, 1)) * inv_std.reshape(1, -1, 1, 1)
         self._cache = (xhat, inv_std, training, x.shape)
         return self.gamma.data.reshape(1, -1, 1, 1) * xhat + self.beta.data.reshape(1, -1, 1, 1)
@@ -217,9 +216,8 @@ class Flatten:
 
 class Linear:
     def __init__(self, in_features: int, out_features: int,
-                 rng: np.random.Generator | None = None, dtype=np.float64):
+                 rng: np.random.Generator, dtype=np.float64):
         self.in_features, self.out_features = in_features, out_features
-        rng = rng or np.random.default_rng(0)
         self.w = Param(_kaiming_uniform(rng, (in_features, out_features), in_features, dtype))
         self.b = Param(np.zeros(out_features, dtype=dtype))
         self._x = None
@@ -242,8 +240,8 @@ class ResidualBlock:
     then ReLU.  Stride 1 keeps an identity shortcut; a strided block projects
     it through a 1x1 convolution plus BN."""
 
-    def __init__(self, channels: int, stride: int = 1,
-                 rng: np.random.Generator | None = None, dtype=np.float64):
+    def __init__(self, channels: int, stride: int, rng: np.random.Generator,
+                 dtype=np.float64):
         self.conv1 = Conv2d(channels, channels, (3, 3), (stride, stride), (1, 1), rng, dtype)
         self.bn1 = BatchNorm2d(channels, dtype=dtype)
         self.relu1 = ReLU()

@@ -53,16 +53,3 @@ def metrics_from_predictions(y_true, y_pred, class_count: int) -> Metrics:
         macro_precision=float(precision[present].mean()),
         macro_f1=float(f1[present].mean()),
     )
-
-
-def evaluate(model, recordings) -> Metrics:
-    """Score a model on labeled recordings; order of the set is irrelevant."""
-    from .training import recordings_to_arrays
-
-    frames, labels = recordings_to_arrays(recordings, model.dtype)
-    if labels.max() >= model.class_count:
-        raise ValueError(
-            f"label {labels.max()} out of range for {model.class_count} classes"
-        )
-    predicted = model.predict(frames)
-    return metrics_from_predictions(labels, predicted, model.class_count)

@@ -56,6 +56,12 @@ _STAGES = (
 )
 
 
+def softmax(logits: np.ndarray) -> np.ndarray:
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def shape_chain(frame_height: int, frame_width: int, class_count: int) -> list[tuple[str, tuple]]:
     """Return (stage name, output shape) pairs for the whole network.
 
@@ -138,8 +144,6 @@ class RcnnModel:
 
     def predict(self, batch: np.ndarray) -> np.ndarray:
         """Class indices: softmax then argmax, 32 frames at a time."""
-        from .training import softmax
-
         return np.concatenate([
             softmax(self.forward(batch[i:i + _PREDICT_CHUNK])).argmax(axis=1)
             for i in range(0, batch.shape[0], _PREDICT_CHUNK)

@@ -7,11 +7,12 @@ trajectory.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import RcnnModel
+from .metrics import Metrics, metrics_from_predictions
+from .model import RcnnModel, softmax
 
 
 @dataclass(frozen=True)
@@ -25,13 +26,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be at least 1")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValueError("beta coefficients must lie in [0, 1)")
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise ValueError("eps must be positive")
 
 
@@ -56,12 +57,6 @@ class Adam:
             v *= self.beta2
             v += (1.0 - self.beta2) * np.square(p.grad)
             p.data -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -103,6 +98,17 @@ def recordings_to_arrays(recordings, dtype=np.float64) -> tuple[np.ndarray, np.n
     frames = np.stack([rec.magnitudes for rec in recordings]).astype(dtype)
     labels = np.array([rec.label for rec in recordings], dtype=np.int64)
     return frames[:, None, :, :], labels
+
+
+def evaluate(model: RcnnModel, recordings) -> Metrics:
+    """Score a model on labeled recordings; order of the set is irrelevant."""
+    frames, labels = recordings_to_arrays(recordings, model.dtype)
+    if labels.max() >= model.class_count:
+        raise ValueError(
+            f"label {labels.max()} out of range for {model.class_count} classes"
+        )
+    predicted = model.predict(frames)
+    return metrics_from_predictions(labels, predicted, model.class_count)
 
 
 def _accuracy(model: RcnnModel, frames: np.ndarray, labels: np.ndarray) -> float:

@@ -18,7 +18,7 @@ from trgr.cli import main
 from trgr.codebook import Codebook
 from trgr.config import file_digest
 from trgr.gait import CsiRecording, default_scenario
-from trgr.pipeline import FilterSpec, moving_average, normalize, split_dataset
+from trgr.pipeline import FilterSpec, denoise_recording, normalize, split_dataset
 from trgr.rcnn.metrics import metrics_from_predictions
 from trgr.ris import brute_force, optimize, snr_probe
 
@@ -178,6 +178,12 @@ def test_criterion_7_metrics_arithmetic():
            f"both confusion-matrix examples match, worst deviation {worst:.1e}")
 
 
+def moving_average(series: np.ndarray, spec: FilterSpec) -> np.ndarray:
+    """The denoising filter on one series, as a recording with one subcarrier."""
+    rec = CsiRecording(np.asarray(series, dtype=np.float64)[:, None], 0, 0)
+    return denoise_recording(rec, spec).magnitudes[:, 0]
+
+
 def test_criterion_8_pipeline_properties():
     t0 = time.perf_counter()
     spec3 = FilterSpec(3)
@@ -193,14 +199,14 @@ def test_criterion_8_pipeline_properties():
     )
     identity_ok = np.array_equal(moving_average(x, FilterSpec(1)), x)
 
-    norm = normalize(CsiRecording(rng.random((30, 8)) * 5 + 2, 0, "t", 1))
+    norm = normalize(CsiRecording(rng.random((30, 8)) * 5 + 2, 0, 1))
     norm_ok = (abs(norm.magnitudes.mean()) < 1e-9
                and abs(norm.magnitudes.std() - 1.0) < 1e-9)
 
     split_ok = True
     for n, want_train in [(3, 2), (4, 3), (5, 3), (6, 4), (50, 33)]:
-        recs = [CsiRecording(np.full((2, 2), float(i)), label=i % 2, scenario="t",
-                             episode_seed=i) for i in range(2 * n)]
+        recs = [CsiRecording(np.full((2, 2), float(i)), label=i % 2, episode_seed=i)
+                for i in range(2 * n)]
         split = split_dataset(recs, split_seed=4)
         for label in (0, 1):
             got = sum(1 for r in split.train if r.label == label)

@@ -319,6 +319,19 @@ class TestConfigErrors:
         assert main(["optimize", "--config", str(bad)]) == 1
         assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, section, key, value", [
+        ("optimize", "optimizer", "probe_noise_std", float("nan")),
+        ("generate", "scenario", "duration_s", float("inf")),
+    ])
+    def test_non_finite_float_fails_with_one_line(self, tmp_path, capsys,
+                                                  command, section, key, value):
+        out = tmp_path / "nonfinite"
+        cfg = write_config(tmp_path, out, **{section: {key: value}})
+        assert main([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
+        assert not out.exists()  # rejected before the output directory is made
+
     def test_wrong_typed_name_fails_before_any_dataset(self, tmp_path, capsys):
         out = tmp_path / "typed"
         cfg = write_config(tmp_path, out, scenario={"name": 5})

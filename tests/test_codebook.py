@@ -10,11 +10,6 @@ from trgr.codebook import Codebook, line_flip, phase_matrix
 
 
 class TestConstruction:
-    def test_zeros_default_is_16_by_16(self):
-        cb = Codebook.zeros()
-        assert (cb.rows, cb.cols, cb.size) == (16, 16, 256)
-        assert cb.grid.sum() == 0
-
     def test_zero_by_zero_allowed(self):
         cb = Codebook.zeros(0, 0)
         assert cb.size == 0

@@ -9,7 +9,7 @@ from trgr.config import (
     file_digest,
     load_config,
     resolve_config,
-    write_manifest,
+    write_json,
 )
 
 
@@ -120,6 +120,10 @@ class TestOverridesAndSections:
         {"subjects": {"count": "four"}},
         {"scenario": {"name": 5}},
         {"output_dir": 5},
+        {"optimizer": {"probe_noise_std": float("nan")}},
+        {"scenario": {"duration_s": float("inf")}},
+        {"scenario": {"noise_variance": float("-inf")}},
+        {"train": {"learning_rate": "NaN"}},
     ])
     def test_wrong_typed_value_rejected(self, doc):
         with pytest.raises(ValueError, match="config"):
@@ -171,9 +175,11 @@ class TestManifest:
         assert manifest["artifacts"]["blob"]["sha256"] == file_digest(artifact)
         assert manifest["timings_s"]["total"] == 1.235
         out = tmp_path / "m.json"
-        write_manifest(manifest, out)
+        write_json(out, manifest)
         again = json.loads(out.read_text())
         assert again == manifest
+        # keys come out sorted at every level without asking the writer to sort
+        assert out.read_text() == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
 
     def test_file_digest_matches_known_vector(self, tmp_path):
         p = tmp_path / "v.txt"

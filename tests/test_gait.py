@@ -17,7 +17,6 @@ from trgr.codebook import Codebook
 from trgr.gait import (
     DYNAMIC_DELAY_RANGE_S,
     MAX_DOPPLER_HZ,
-    VACANT,
     CsiRecording,
     ScenarioConfig,
     SubjectProfile,
@@ -73,9 +72,10 @@ def tiny_scenario(noise_variance: float = 0.0, wall_db: float = 40.0,
 
 
 class TestSubjectProfile:
-    def test_label_space_excludes_vacant_marker(self):
+    def test_label_space_fits_u16(self):
+        assert dataclasses.replace(make_profile(), subject_id=0xFFFF).subject_id == 0xFFFF
         with pytest.raises(ValueError):
-            dataclasses.replace(make_profile(), subject_id=VACANT)
+            dataclasses.replace(make_profile(), subject_id=0x10000)
         with pytest.raises(ValueError):
             dataclasses.replace(make_profile(), subject_id=-1)
 
@@ -110,20 +110,13 @@ class TestScenarioConfig:
 class TestCsiRecording:
     def test_must_be_two_dimensional(self):
         with pytest.raises(ValueError):
-            CsiRecording(np.zeros(5), 0, "x", 1)
+            CsiRecording(np.zeros(5), 0, 1)
 
     def test_must_be_finite(self):
         m = np.zeros((2, 3))
         m[0, 0] = np.inf
         with pytest.raises(ValueError):
-            CsiRecording(m, 0, "x", 1)
-
-    def test_with_magnitudes_swaps_data_keeps_metadata(self):
-        rec = CsiRecording(np.ones((2, 3)), 4, "scene", 9)
-        out = rec.with_magnitudes(np.zeros((2, 3)))
-        assert out.shape == (2, 3)
-        assert (out.label, out.scenario, out.episode_seed) == (4, "scene", 9)
-        assert out.magnitudes.sum() == 0
+            CsiRecording(m, 0, 1)
 
 
 class TestDynamicTaps:
@@ -193,8 +186,9 @@ class TestDynamicCoupling:
         static_b = frequency_response(combined_taps(
             _attenuated(sc), sc.ris, cb_b), sc.grid)
         # subtracting each static response leaves the same dynamic field
-        vac_a = render_recording(None, sc, cb_a, episode_seed=3)
-        vac_b = render_recording(None, sc, cb_b, episode_seed=3)
+        vacant = dataclasses.replace(sc, dynamic_path_count=0)
+        vac_a = render_recording(p, vacant, cb_a, episode_seed=3)
+        vac_b = render_recording(p, vacant, cb_b, episode_seed=3)
         assert np.allclose(vac_a.magnitudes[0], np.abs(static_a))
         assert np.allclose(vac_b.magnitudes[0], np.abs(static_b))
         assert not np.allclose(rec_a.magnitudes, rec_b.magnitudes)
@@ -210,19 +204,19 @@ class TestRenderRecording:
         sc = tiny_scenario()
         rec = render_recording(make_profile(), sc, Codebook.zeros(2, 2), episode_seed=1)
         assert rec.shape == (sc.packet_count, sc.grid.count)
-        assert rec.scenario == "tiny"
         assert rec.episode_seed == 1
 
-    def test_vacant_render_is_static_and_labeled_vacant(self):
-        sc = tiny_scenario(noise_variance=0.0)
-        rec = render_recording(None, sc, Codebook.zeros(2, 2), episode_seed=1)
-        assert rec.label == VACANT
+    def test_vacant_render_is_static(self):
+        # a room whose walker has no dynamic paths renders the static response
+        sc = tiny_scenario(noise_variance=0.0, paths=0)
+        rec = render_recording(make_profile(sid=2), sc, Codebook.zeros(2, 2), episode_seed=1)
+        assert rec.label == 2
         assert np.allclose(rec.magnitudes, rec.magnitudes[0])
 
     def test_noiseless_vacant_matches_static_frequency_response(self):
-        sc = tiny_scenario(noise_variance=0.0)
+        sc = tiny_scenario(noise_variance=0.0, paths=0)
         cb = Codebook(np.array([[1, 0], [1, 1]], dtype=np.uint8))
-        rec = render_recording(None, sc, cb, episode_seed=1)
+        rec = render_recording(make_profile(), sc, cb, episode_seed=1)
         expected = np.abs(frequency_response(
             combined_taps(_attenuated(sc), sc.ris, cb), sc.grid))
         assert np.allclose(rec.magnitudes, expected[None, :])
@@ -246,13 +240,6 @@ class TestRenderRecording:
         assert rec.label == 0
         assert not np.allclose(rec.magnitudes[0], rec.magnitudes[-1])
 
-    def test_zero_dynamic_paths_behaves_like_vacant(self):
-        sc = tiny_scenario(noise_variance=0.0, paths=0)
-        walk = render_recording(make_profile(), sc, Codebook.zeros(2, 2), episode_seed=1)
-        vacant = render_recording(None, sc, Codebook.zeros(2, 2), episode_seed=1)
-        assert np.array_equal(walk.magnitudes, vacant.magnitudes)
-        assert walk.label == 0 and vacant.label == VACANT
-
     def test_render_is_deterministic(self):
         sc = tiny_scenario(noise_variance=0.5)
         a = render_recording(make_profile(), sc, Codebook.zeros(2, 2), episode_seed=4)
@@ -260,15 +247,16 @@ class TestRenderRecording:
         assert np.array_equal(a.magnitudes, b.magnitudes)
 
     def test_noise_differs_across_episodes(self):
-        sc = tiny_scenario(noise_variance=0.5)
-        a = render_recording(None, sc, Codebook.zeros(2, 2), episode_seed=1)
-        b = render_recording(None, sc, Codebook.zeros(2, 2), episode_seed=2)
+        sc = tiny_scenario(noise_variance=0.5, paths=0)
+        a = render_recording(make_profile(), sc, Codebook.zeros(2, 2), episode_seed=1)
+        b = render_recording(make_profile(), sc, Codebook.zeros(2, 2), episode_seed=2)
         assert not np.array_equal(a.magnitudes, b.magnitudes)
 
     def test_high_wall_attenuation_buries_gait_without_ris(self):
         sc = tiny_scenario(noise_variance=0.0, wall_db=60.0, n_ris=0)
         walk = render_recording(make_profile(), sc, Codebook.zeros(0, 0), episode_seed=1)
-        vacant = render_recording(None, sc, Codebook.zeros(0, 0), episode_seed=1)
+        vacant = render_recording(make_profile(), dataclasses.replace(sc, dynamic_path_count=0),
+                                  Codebook.zeros(0, 0), episode_seed=1)
         ripple = np.abs(walk.magnitudes - vacant.magnitudes).max()
         assert ripple < 10 ** (-60.0 / 20.0) * 20  # bounded by coupling * path budget
 

@@ -3,8 +3,9 @@ import numpy as np
 import pytest
 
 from trgr.gait import CsiRecording
-from trgr.rcnn.metrics import Metrics, evaluate, metrics_from_predictions
+from trgr.rcnn.metrics import Metrics, metrics_from_predictions
 from trgr.rcnn.model import RcnnModel
+from trgr.rcnn.training import evaluate
 
 
 class TestHandExamples:
@@ -78,7 +79,7 @@ class TestPermutationInvariance:
         rng = np.random.default_rng(4)
         model = RcnnModel(104, 104, 2, seed=1)
         recs = [
-            CsiRecording(rng.standard_normal((104, 104)), i % 2, "m", i)
+            CsiRecording(rng.standard_normal((104, 104)), i % 2, i)
             for i in range(6)
         ]
         a = evaluate(model, recs)
@@ -89,7 +90,7 @@ class TestPermutationInvariance:
 
     def test_evaluate_rejects_labels_beyond_model_classes(self):
         model = RcnnModel(104, 104, 2, seed=1)
-        recs = [CsiRecording(np.ones((104, 104)), 5, "m", 0)]
+        recs = [CsiRecording(np.ones((104, 104)), 5, 0)]
         with pytest.raises(ValueError):
             evaluate(model, recs)
 

@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 
 from trgr.gait import CsiRecording
 from trgr.pipeline import DatasetSplit
-from trgr.rcnn.layers import BatchNorm2d, Param, ResidualBlock
+from trgr.rcnn.layers import BN_EPS, BatchNorm2d, Param, ResidualBlock
 from trgr.rcnn.model import (
     CHECKPOINT_MAGIC,
     RcnnModel,
     load_model,
     save_model,
+    softmax,
 )
 from trgr.rcnn.training import (
     Adam,
@@ -24,7 +25,6 @@ from trgr.rcnn.training import (
     TrainConfig,
     cross_entropy,
     recordings_to_arrays,
-    softmax,
     train,
     write_training_log,
 )
@@ -41,7 +41,7 @@ def toy_recordings(n_per_class: int, seed: int, label_offset: int = 0):
         base = np.full((H, W), 1.0) if label == 0 else np.tile(
             np.linspace(0.0, 2.0, W), (H, 1))
         recs.append(CsiRecording(base + 0.05 * rng.standard_normal((H, W)),
-                                 label + label_offset, "toy", i))
+                                 label + label_offset, i))
     return recs
 
 
@@ -49,7 +49,6 @@ def toy_split(train_per_class=8, test_per_class=3, seed=42) -> DatasetSplit:
     return DatasetSplit(
         toy_recordings(train_per_class, seed),
         toy_recordings(test_per_class, seed + 1),
-        split_seed=0,
     )
 
 
@@ -127,7 +126,7 @@ class TestBatchNormInvariants:
         x = np.random.default_rng(6).standard_normal((3, 2, 2, 2))
         out = bn.forward(x, training=False)
         expected = (x - bn.running_mean.reshape(1, 2, 1, 1)) / np.sqrt(
-            bn.running_var.reshape(1, 2, 1, 1) + bn.eps)
+            bn.running_var.reshape(1, 2, 1, 1) + BN_EPS)
         assert np.allclose(out, expected, atol=1e-12)
         assert np.array_equal(out, bn.forward(x, training=False))  # deterministic
 
@@ -136,6 +135,14 @@ class TestBatchNormInvariants:
         x = np.full((4, 1, 2, 2), 10.0)
         bn.forward(x, training=True)
         assert bn.running_mean[0] == pytest.approx(0.1 * 10.0)  # momentum 0.1
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field", ["learning_rate", "eps"])
+    @pytest.mark.parametrize("value", [0.0, -1e-3, float("nan")])
+    def test_non_positive_or_nan_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
 
 
 class TestAdam:
@@ -212,7 +219,7 @@ class TestTrainLoop:
         bad = toy_split(train_per_class=2, test_per_class=2)
         model = RcnnModel(H, W, 2, seed=0)
         bad_recs = toy_recordings(2, seed=0, label_offset=2)  # labels 2, 3
-        split = DatasetSplit(bad_recs, bad.test, 0)
+        split = DatasetSplit(bad_recs, bad.test)
         with pytest.raises(ValueError):
             train(model, split, TrainConfig(epochs=1))
 
