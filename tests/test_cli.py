@@ -174,18 +174,22 @@ def test_desk_datasets_match_golden_digests(tmp_path):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
-# sha256 of a 2-epoch `trgr train` on the TINY config's ris_on dataset;
-# refactors of the network, the training loop or the checkpoint format must
-# keep these bytes.
+# sha256 of a 2-epoch `trgr train` on the TINY config's ris_on dataset and of
+# `trgr evaluate --split all` on its checkpoint; refactors of the network, the
+# training loop, the scoring or the checkpoint format must keep these bytes.
 TINY_TRAIN_SHA256 = {
     "model.bin": "3b807c5eadd69f4bfc07d625a629fd66d537be20494934da295d5437de75e833",
     "training_log.csv": "2489b95f17d9367c6e07060a395d73552b70462b6886ccd31f0bfa88b0d1f406",
+    "metrics.json": "34120625166b94fd88eeb3905ed77d5e65ba8d09deacc733b2b88920e3c4e0b7",
+    "eval_metrics.json": "adfd6a87dfcffa661433b9df3a03a63ff9b54babe9989f3e7648aed2525c68cf",
 }
 
 
 def test_tiny_training_matches_golden_digests(workspace, tmp_path):
-    assert main(["train", "--config", str(workspace["config"]), "--output", str(tmp_path),
-                 "--dataset", str(workspace["out"] / "dataset_ris_on.bin")]) == 0
+    dataset = str(workspace["out"] / "dataset_ris_on.bin")
+    for command in (["train"], ["evaluate", "--split", "all"]):
+        assert main([*command, "--config", str(workspace["config"]), "--output", str(tmp_path),
+                     "--dataset", dataset]) == 0
     for name, digest in TINY_TRAIN_SHA256.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
     # the pinned checkpoint loads and re-saves to the same bytes
