@@ -33,7 +33,7 @@ from .config import (
 from .gait import generate_dataset
 from .pipeline import denoise_recording, load_dataset, normalize, save_dataset, split_dataset
 from .rcnn.model import RcnnModel, load_model, save_model, shape_chain
-from .rcnn.training import evaluate, train, write_training_log
+from .rcnn.training import evaluate, recordings_to_arrays, train, write_training_log
 from .ris import BRUTE_FORCE_MAX_BITS, brute_force, optimize, snr_probe
 
 
@@ -169,8 +169,8 @@ def _prepared_split(cfg: ExperimentConfig, dataset_path: Path):
     return split_dataset(prepared, cfg.split_seed)
 
 
-def _class_count(recordings) -> int:
-    labels = sorted({rec.label for rec in recordings})
+def _class_count(labels: list[int]) -> int:
+    labels = sorted(set(labels))
     if len(labels) < 2:
         raise ValueError("training needs at least two classes")
     if labels != list(range(len(labels))):
@@ -179,13 +179,12 @@ def _class_count(recordings) -> int:
 
 
 def _train_on(cfg: ExperimentConfig, dataset_path: Path):
+    """Train a fresh model: (model, epoch logs, last epoch's test metrics)."""
     split = _prepared_split(cfg, dataset_path)
-    k = _class_count(split.train + split.test)
-    t, s = split.train[0].shape
-    model = RcnnModel(t, s, k, seed=cfg.model_seed)
-    logs = train(model, split, cfg.train)
-    metrics = evaluate(model, split.test)
-    return model, logs, metrics
+    train_set, test_set = recordings_to_arrays(split.train), recordings_to_arrays(split.test)
+    k = _class_count(train_set[1].tolist() + test_set[1].tolist())
+    model = RcnnModel(*train_set[0].shape[2:], k, seed=cfg.model_seed)
+    return (model, *train(model, train_set, test_set, cfg.train))
 
 
 def cmd_train(args) -> int:
@@ -223,7 +222,7 @@ def cmd_evaluate(args) -> int:
     split = _prepared_split(cfg, dataset_path)
     subset = {"test": split.test, "train": split.train,
               "all": split.train + split.test}[args.split]
-    metrics = evaluate(model, subset)
+    metrics = evaluate(model, *recordings_to_arrays(subset))
     doc = _metrics_doc(metrics)
     doc["split"] = args.split
     metrics_path = cfg.output_dir / "eval_metrics.json"
@@ -251,7 +250,7 @@ def cmd_ablate(args) -> int:
 
     report = {}
     for name in ("ris_off", "ris_on"):
-        _, logs, metrics = _train_on(cfg, paths[name])
+        _, _, metrics = _train_on(cfg, paths[name])
         report[name] = _metrics_doc(metrics)
         report[name]["dataset"] = str(paths[name])
         _print_metrics(f"{name}:", report[name])

@@ -8,8 +8,8 @@ Explicit sub-seeds always win over derived ones.
 Schema (all sections optional, defaults shown):
 
     {
-      "seed": 7,
-      "output_dir": "runs/desk",
+      "seed": 0,
+      "output_dir": "runs/default",
       "scenario": {
         "name": "desk", "subcarriers": 256, "noise_variance": 0.5,
         "wall_attenuation_db": 45.0, "dynamic_path_count": 3,
@@ -131,8 +131,8 @@ def resolve_config(doc: dict, seed_override: int | None = None,
     sc = doc.get("scenario", {})
     ris_rows, ris_cols = _read(sc, "ris_rows", 16), _read(sc, "ris_cols", 16)
     scenario_seed = _pick_seed(sc, "seed", top_seed, _SALT_SCENARIO)
+    _read(sc, "name", "desk", str)  # a label for the reader: checked, changes no artifact
     scenario = default_scenario(
-        name=_read(sc, "name", "desk", str),
         subcarriers=_read(sc, "subcarriers", 256),
         seed=scenario_seed,
         noise_variance=_read(sc, "noise_variance", 0.5, float),

@@ -67,7 +67,6 @@ class SubjectProfile:
 class ScenarioConfig:
     """Static environment a recording is rendered in."""
 
-    name: str
     direct: Taps
     ris: RisChannel
     grid: SubcarrierGrid
@@ -261,14 +260,13 @@ def leaky_direct_channel(seed: int) -> Taps:
     return Taps(draws[:, 0], draws[:, 1], draws[:, 2])
 
 
-def default_scenario(name: str = "desk", subcarriers: int = 256, seed: int = 7,
+def default_scenario(subcarriers: int = 256, seed: int = 7,
                      noise_variance: float = 0.5, wall_attenuation_db: float = 45.0,
                      dynamic_path_count: int = 3, ris_rows: int = 16,
                      ris_cols: int = 16, packets_per_second: int = 50,
                      duration_s: float = 3.0) -> ScenarioConfig:
     """Seeded 16x16 rich-scattering through-wall scenario at desk scale."""
     return ScenarioConfig(
-        name=name,
         direct=leaky_direct_channel(seed),
         ris=rich_scattering_ris(ris_rows, ris_cols, seed),
         grid=SubcarrierGrid(count=subcarriers),

@@ -41,13 +41,10 @@ def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.
     return rng.uniform(-bound, bound, shape).astype(dtype)
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int, oh: int, ow: int) -> np.ndarray:
-    b, c = xp.shape[:2]
-    cols = np.empty((b, c, kh, kw, oh, ow), dtype=xp.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw]
-    return cols
+def _im2col(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
+    """(B, C, kh, kw, oh, ow) view: [..., i, j, y, x] is xp[..., i + sh*y, j + sw*x]."""
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    return windows[:, :, ::sh, ::sw].transpose(0, 1, 4, 5, 2, 3)
 
 
 def _col2im(dcols: np.ndarray, padded_shape, kh: int, kw: int, sh: int, sw: int,
@@ -79,8 +76,7 @@ class Conv2d:
         oh = conv_output_size(h, kh, sh, ph)
         ow = conv_output_size(w, kw, sw, pw)
         xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x
-        cols = _im2col(xp, kh, kw, sh, sw, oh, ow)
-        cols_mat = cols.reshape(b, c * kh * kw, oh * ow)
+        cols_mat = _im2col(xp, kh, kw, sh, sw).reshape(b, c * kh * kw, oh * ow)
         out = self.w.data.reshape(self.c_out, -1) @ cols_mat
         out = out.reshape(b, self.c_out, oh, ow) + self.b.data.reshape(1, -1, 1, 1)
         self._cache = (cols_mat, xp.shape, (oh, ow))
@@ -98,10 +94,7 @@ class Conv2d:
         dcols = self.w.data.reshape(self.c_out, -1).T @ g_mat
         dxp = _col2im(dcols.reshape(b, self.c_in, kh, kw, oh, ow),
                       padded_shape, kh, kw, sh, sw, oh, ow)
-        if ph or pw:
-            h, w = padded_shape[2] - 2 * ph, padded_shape[3] - 2 * pw
-            return dxp[:, :, ph:ph + h, pw:pw + w]
-        return dxp
+        return dxp[:, :, ph:padded_shape[2] - ph, pw:padded_shape[3] - pw]
 
     def params(self) -> list[Param]:
         return [self.w, self.b]

@@ -91,39 +91,33 @@ def write_training_log(logs, path) -> None:
                              repr(row.test_acc)])
 
 
-def recordings_to_arrays(recordings, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
+def recordings_to_arrays(recordings) -> tuple[np.ndarray, np.ndarray]:
     """Stack recording magnitudes into a (N, 1, T, S) batch plus labels."""
     if not recordings:
         raise ValueError("no recordings to stack")
-    frames = np.stack([rec.magnitudes for rec in recordings]).astype(dtype)
+    frames = np.stack([rec.magnitudes for rec in recordings])
     labels = np.array([rec.label for rec in recordings], dtype=np.int64)
     return frames[:, None, :, :], labels
 
 
-def evaluate(model: RcnnModel, recordings) -> Metrics:
-    """Score a model on labeled recordings; order of the set is irrelevant."""
-    frames, labels = recordings_to_arrays(recordings, model.dtype)
-    if labels.max() >= model.class_count:
-        raise ValueError(
-            f"label {labels.max()} out of range for {model.class_count} classes"
-        )
-    predicted = model.predict(frames)
-    return metrics_from_predictions(labels, predicted, model.class_count)
+def _check_labels(model: RcnnModel, *label_sets: np.ndarray) -> None:
+    top = max(labels.max() for labels in label_sets)
+    if top >= model.class_count:
+        raise ValueError(f"label {top} out of range for {model.class_count} classes")
 
 
-def _accuracy(model: RcnnModel, frames: np.ndarray, labels: np.ndarray) -> float:
-    return float((model.predict(frames) == labels).mean())
+def evaluate(model: RcnnModel, frames: np.ndarray, labels: np.ndarray) -> Metrics:
+    """Score a model on (N, 1, T, S) frames; the order of the set is irrelevant."""
+    _check_labels(model, labels)
+    return metrics_from_predictions(labels, model.predict(frames), model.class_count)
 
 
-def train(model: RcnnModel, split, cfg: TrainConfig) -> list[EpochLog]:
-    """Fit the model on split.train, tracking accuracy on split.test."""
-    x_train, y_train = recordings_to_arrays(split.train, model.dtype)
-    x_test, y_test = recordings_to_arrays(split.test, model.dtype)
-    for labels in (y_train, y_test):
-        if labels.max() >= model.class_count:
-            raise ValueError(
-                f"label {labels.max()} out of range for {model.class_count} classes"
-            )
+def train(model: RcnnModel, train_set, test_set,
+          cfg: TrainConfig) -> tuple[list[EpochLog], Metrics]:
+    """Fit the model on the (frames, labels) train set, scoring both sets after
+    every epoch; returns the epoch logs and the last epoch's test metrics."""
+    x_train, y_train = train_set
+    _check_labels(model, y_train, test_set[1])
     optimizer = Adam(model.parameters(), cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
     rng = np.random.default_rng(cfg.seed)
     n = x_train.shape[0]
@@ -138,10 +132,7 @@ def train(model: RcnnModel, split, cfg: TrainConfig) -> list[EpochLog]:
             model.backward(grad)
             optimizer.step()
             loss_sum += loss * batch.size
-        logs.append(EpochLog(
-            epoch=epoch,
-            loss=loss_sum / n,
-            train_acc=_accuracy(model, x_train, y_train),
-            test_acc=_accuracy(model, x_test, y_test),
-        ))
-    return logs
+        train_acc = evaluate(model, *train_set).accuracy
+        test_metrics = evaluate(model, *test_set)
+        logs.append(EpochLog(epoch, loss_sum / n, train_acc, test_metrics.accuracy))
+    return logs, test_metrics

@@ -9,7 +9,7 @@ import pytest
 from trgr.cli import main
 from trgr.codebook import Codebook
 from trgr.pipeline import load_dataset
-from trgr.rcnn.model import load_model, save_model
+from trgr.rcnn.model import RcnnModel, load_model, save_model
 
 TINY = {
     "seed": 123,
@@ -240,6 +240,16 @@ class TestTrain:
                                 "f1_pct", "confusion"}
         assert 0.0 <= metrics["accuracy_pct"] <= 100.0
         assert (out / "manifest_train.json").exists()
+
+    def test_each_epoch_predicts_each_split_once(self, workspace, tmp_path, monkeypatch):
+        # the reported test metrics come from the last epoch's prediction
+        calls = []
+        predict = RcnnModel.predict
+        monkeypatch.setattr(RcnnModel, "predict",
+                            lambda model, batch: calls.append(len(batch)) or predict(model, batch))
+        assert main(["train", "--config", str(workspace["config"]), "--output", str(tmp_path),
+                     "--dataset", str(workspace["out"] / "dataset_ris_on.bin")]) == 0
+        assert len(calls) == 2 * 2  # (train, test) per epoch, 2 epochs
 
     def test_missing_dataset_fails_with_its_path(self, tmp_path, capsys):
         out = tmp_path / "nowhere"

@@ -59,7 +59,6 @@ def tiny_scenario(noise_variance: float = 0.0, wall_db: float = 40.0,
     ) if n_ris else RisChannel.empty()
     direct = Taps([0.8], [0.3], [10e-9])
     return ScenarioConfig(
-        name="tiny",
         direct=direct,
         ris=ris,
         grid=SubcarrierGrid(count=16),
@@ -298,7 +297,6 @@ class TestGenerateDataset:
 class TestDefaults:
     def test_default_scenario_wiring(self):
         sc = default_scenario()
-        assert sc.name == "desk"
         assert sc.grid.count == 256
         assert sc.ris.n_elements == 256
         assert sc.packet_count == 150

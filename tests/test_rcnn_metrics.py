@@ -2,7 +2,6 @@
 import numpy as np
 import pytest
 
-from trgr.gait import CsiRecording
 from trgr.rcnn.metrics import Metrics, metrics_from_predictions
 from trgr.rcnn.model import RcnnModel
 from trgr.rcnn.training import evaluate
@@ -78,21 +77,18 @@ class TestPermutationInvariance:
     def test_evaluate_ignores_recording_order(self):
         rng = np.random.default_rng(4)
         model = RcnnModel(104, 104, 2, seed=1)
-        recs = [
-            CsiRecording(rng.standard_normal((104, 104)), i % 2, i)
-            for i in range(6)
-        ]
-        a = evaluate(model, recs)
-        b = evaluate(model, recs[::-1])
+        frames = rng.standard_normal((6, 1, 104, 104))
+        labels = np.arange(6) % 2
+        a = evaluate(model, frames, labels)
+        b = evaluate(model, frames[::-1], labels[::-1])
         assert np.array_equal(a.confusion, b.confusion)
         assert a.accuracy == b.accuracy
         assert a.macro_precision == b.macro_precision
 
     def test_evaluate_rejects_labels_beyond_model_classes(self):
         model = RcnnModel(104, 104, 2, seed=1)
-        recs = [CsiRecording(np.ones((104, 104)), 5, 0)]
-        with pytest.raises(ValueError):
-            evaluate(model, recs)
+        with pytest.raises(ValueError, match="out of range"):
+            evaluate(model, np.ones((1, 1, 104, 104)), np.array([5]))
 
 
 def test_metrics_is_frozen():

@@ -1,8 +1,10 @@
 """Shape arithmetic for the residual CNN at full scale and reduced scales."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from trgr.rcnn.layers import conv_output_size
+from trgr.rcnn.layers import _im2col, conv_output_size
 from trgr.rcnn.model import RcnnModel, shape_chain
 
 FULL_SCALE_CHAIN = [
@@ -34,6 +36,32 @@ class TestConvOutputSize:
     def test_collapse_raises(self):
         with pytest.raises(ValueError):
             conv_output_size(2, 3, 2, 0)
+
+
+def im2col_by_taps(xp, kh, kw, sh, sw, oh, ow):
+    """Reference im2col: one strided slice of the padded input per kernel tap."""
+    cols = np.empty((*xp.shape[:2], kh, kw, oh, ow), dtype=xp.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw]
+    return cols
+
+
+class TestIm2col:
+    @settings(max_examples=200, deadline=None)
+    @given(b=st.integers(1, 3), c=st.integers(1, 3), kh=st.integers(1, 3), kw=st.integers(1, 3),
+           sh=st.integers(1, 2), sw=st.integers(1, 2), ph=st.integers(0, 1), pw=st.integers(0, 1),
+           extra_h=st.integers(0, 5), extra_w=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+    def test_window_view_equals_per_tap_slices(self, b, c, kh, kw, sh, sw, ph, pw,
+                                               extra_h, extra_w, seed):
+        # the smallest input whose padded size fits one kernel, plus extra rows/columns
+        h, w = max(1, kh - 2 * ph) + extra_h, max(1, kw - 2 * pw) + extra_w
+        x = np.random.default_rng(seed).standard_normal((b, c, h, w))
+        xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+        oh, ow = conv_output_size(h, kh, sh, ph), conv_output_size(w, kw, sw, pw)
+        cols = _im2col(xp, kh, kw, sh, sw)
+        assert cols.shape == (b, c, kh, kw, oh, ow)
+        assert np.array_equal(cols, im2col_by_taps(xp, kh, kw, sh, sw, oh, ow))
 
 
 class TestShapeChain:

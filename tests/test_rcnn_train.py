@@ -10,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trgr.gait import CsiRecording
-from trgr.pipeline import DatasetSplit
 from trgr.rcnn.layers import BN_EPS, BatchNorm2d, Param, ResidualBlock
 from trgr.rcnn.model import (
     CHECKPOINT_MAGIC,
@@ -45,11 +44,10 @@ def toy_recordings(n_per_class: int, seed: int, label_offset: int = 0):
     return recs
 
 
-def toy_split(train_per_class=8, test_per_class=3, seed=42) -> DatasetSplit:
-    return DatasetSplit(
-        toy_recordings(train_per_class, seed),
-        toy_recordings(test_per_class, seed + 1),
-    )
+def toy_split(train_per_class=8, test_per_class=3, seed=42):
+    """(train set, test set), each a (frames, labels) pair."""
+    return (recordings_to_arrays(toy_recordings(train_per_class, seed)),
+            recordings_to_arrays(toy_recordings(test_per_class, seed + 1)))
 
 
 class TestSoftmax:
@@ -191,10 +189,12 @@ class TestTrainLoop:
 
     def test_separable_toy_reaches_full_train_accuracy(self):
         model = RcnnModel(H, W, 2, seed=0)
-        logs = train(model, toy_split(), TrainConfig(epochs=16, batch_size=4, seed=1))
+        logs, test_metrics = train(model, *toy_split(), TrainConfig(epochs=16, batch_size=4, seed=1))
         assert max(lg.train_acc for lg in logs) == 1.0
         assert logs[-1].train_acc == 1.0
         assert logs[-1].test_acc == 1.0
+        assert test_metrics.accuracy == 1.0
+        assert np.array_equal(test_metrics.confusion, [[3, 0], [0, 3]])
 
     def test_same_seed_reproduces_final_loss_exactly(self):
         split = toy_split(train_per_class=4, test_per_class=3)
@@ -202,7 +202,7 @@ class TestTrainLoop:
         finals = []
         for _ in range(2):
             model = RcnnModel(H, W, 2, seed=5)
-            logs = train(model, split, cfg)
+            logs, _ = train(model, *split, cfg)
             finals.append(logs[-1].loss)
         assert abs(finals[0] - finals[1]) < 1e-9
 
@@ -211,26 +211,30 @@ class TestTrainLoop:
         losses = []
         for s in (1, 2):
             model = RcnnModel(H, W, 2, seed=5)
-            logs = train(model, split, TrainConfig(epochs=2, batch_size=4, seed=s))
+            logs, _ = train(model, *split, TrainConfig(epochs=2, batch_size=4, seed=s))
             losses.append(logs[-1].loss)
         assert losses[0] != losses[1]
 
-    def test_out_of_range_label_rejected(self):
-        bad = toy_split(train_per_class=2, test_per_class=2)
+    def test_out_of_range_label_rejected(self, monkeypatch):
+        # labels 2, 3 in either set fail before any training step or prediction
+        bad = recordings_to_arrays(toy_recordings(2, seed=0, label_offset=2))
+        good = toy_split(train_per_class=2, test_per_class=2)[1]
         model = RcnnModel(H, W, 2, seed=0)
-        bad_recs = toy_recordings(2, seed=0, label_offset=2)  # labels 2, 3
-        split = DatasetSplit(bad_recs, bad.test)
-        with pytest.raises(ValueError):
-            train(model, split, TrainConfig(epochs=1))
+        monkeypatch.setattr(model, "forward", lambda *a, **k: pytest.fail("forward ran"))
+        for sets in ((bad, good), (good, bad)):
+            with pytest.raises(ValueError, match="out of range"):
+                train(model, *sets, TrainConfig(epochs=1))
 
     def test_epoch_log_fields(self):
         model = RcnnModel(H, W, 2, seed=0)
-        logs = train(model, toy_split(2, 2), TrainConfig(epochs=2, batch_size=4, seed=0))
+        logs, test_metrics = train(model, *toy_split(2, 2),
+                                   TrainConfig(epochs=2, batch_size=4, seed=0))
         assert [lg.epoch for lg in logs] == [1, 2]
         for lg in logs:
             assert 0.0 <= lg.train_acc <= 1.0
             assert 0.0 <= lg.test_acc <= 1.0
             assert lg.loss >= 0.0
+        assert test_metrics.accuracy == logs[-1].test_acc
 
 
 class TestTrainingLogCsv:
