@@ -101,9 +101,10 @@ def recordings_to_arrays(recordings) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_labels(model: RcnnModel, *label_sets: np.ndarray) -> None:
-    top = max(labels.max() for labels in label_sets)
-    if top >= model.class_count:
-        raise ValueError(f"label {top} out of range for {model.class_count} classes")
+    for labels in label_sets:
+        for label in (labels.min(), labels.max()):
+            if not 0 <= label < model.class_count:
+                raise ValueError(f"label {label} out of range for {model.class_count} classes")
 
 
 def evaluate(model: RcnnModel, frames: np.ndarray, labels: np.ndarray) -> Metrics:

@@ -249,7 +249,8 @@ class TestTrain:
                             lambda model, batch: calls.append(len(batch)) or predict(model, batch))
         assert main(["train", "--config", str(workspace["config"]), "--output", str(tmp_path),
                      "--dataset", str(workspace["out"] / "dataset_ris_on.bin")]) == 0
-        assert len(calls) == 2 * 2  # (train, test) per epoch, 2 epochs
+        # per epoch: the 12 train frames, then the 6 test frames (3 subjects x 6 episodes)
+        assert calls == [12, 6] * 2
 
     def test_missing_dataset_fails_with_its_path(self, tmp_path, capsys):
         out = tmp_path / "nowhere"

@@ -85,10 +85,12 @@ class TestPermutationInvariance:
         assert a.accuracy == b.accuracy
         assert a.macro_precision == b.macro_precision
 
-    def test_evaluate_rejects_labels_beyond_model_classes(self):
+    def test_evaluate_rejects_labels_beyond_model_classes(self, monkeypatch):
         model = RcnnModel(104, 104, 2, seed=1)
-        with pytest.raises(ValueError, match="out of range"):
-            evaluate(model, np.ones((1, 1, 104, 104)), np.array([5]))
+        monkeypatch.setattr(model, "predict", lambda batch: pytest.fail("predict ran"))
+        for label in (5, 2, -1):  # rejected before any prediction
+            with pytest.raises(ValueError, match=f"label {label} out of range"):
+                evaluate(model, np.ones((2, 1, 104, 104)), np.array([0, label]))
 
 
 def test_metrics_is_frozen():
