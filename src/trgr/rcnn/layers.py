@@ -1,10 +1,12 @@
 """CNN building blocks with explicit forward/backward passes.
 
-Layers cache whatever the backward pass needs on forward, compute gradients
-for exactly one backward per forward, and write parameter gradients by
-assignment (each parameter is touched once per pass, so no accumulation is
-needed).  Convolutions use the cross-correlation convention with output size
-floor((H + 2p - k) / s) + 1.
+Layers cache whatever the backward pass needs on a training forward, compute
+gradients for exactly one backward per forward, and write parameter gradients
+by assignment (each parameter is touched once per pass, so no accumulation is
+needed).  An eval forward stores nothing, which also frees what the last
+training step left; BatchNorm is the exception, because its backward also
+runs in eval mode.  Convolutions use the cross-correlation convention with
+output size floor((H + 2p - k) / s) + 1.
 """
 from __future__ import annotations
 
@@ -79,7 +81,7 @@ class Conv2d:
         cols_mat = _im2col(xp, kh, kw, sh, sw).reshape(b, c * kh * kw, oh * ow)
         out = self.w.data.reshape(self.c_out, -1) @ cols_mat
         out = out.reshape(b, self.c_out, oh, ow) + self.b.data.reshape(1, -1, 1, 1)
-        self._cache = (cols_mat, xp.shape, (oh, ow))
+        self._cache = (cols_mat, xp.shape, (oh, ow)) if training else None
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -143,8 +145,9 @@ class ReLU:
         self._mask = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        mask = x > 0
+        self._mask = mask if training else None
+        return np.where(mask, x, 0.0)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         return np.where(self._mask, grad, 0.0)
@@ -167,10 +170,13 @@ class MaxPool2d:
         oh, ow = h // k, w // k
         if oh < 1 or ow < 1:
             raise ValueError(f"pooling window {k} does not fit input {h}x{w}")
-        windows = (x[:, :, :oh * k, :ow * k]
-                   .reshape(b, c, oh, k, ow, k)
-                   .transpose(0, 1, 2, 4, 3, 5)
-                   .reshape(b, c, oh, ow, k * k))
+        windows = x[:, :, :oh * k, :ow * k].reshape(b, c, oh, k, ow, k)
+        if not training:
+            # the input follows a ReLU (no signed zeros), so max equals the
+            # training path's argmax pick
+            self._cache = None
+            return windows.max(axis=(3, 5))
+        windows = windows.transpose(0, 1, 2, 4, 3, 5).reshape(b, c, oh, ow, k * k)
         idx = windows.argmax(axis=-1)
         out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
         self._cache = (idx, x.shape)
@@ -216,7 +222,7 @@ class Linear:
         self._x = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._x = x
+        self._x = x if training else None
         return x @ self.w.data + self.b.data
 
     def backward(self, grad: np.ndarray) -> np.ndarray:

@@ -36,7 +36,9 @@ CHECKPOINT_VERSION = 1
 _HEADER = struct.Struct("<7sHIIHH")
 _LAYER_REC = struct.Struct("<BHHHHHHH")
 _LAYER_CODES = range(1, 8)  # the kind codes _layer_record writes
-_PREDICT_CHUNK = 32
+# input values `predict` scores per forward: 32 desk frames (150x256), one
+# paper-size frame (150x8192); a chunk holds at least one frame
+_PREDICT_VALUES = 32 * 150 * 256
 
 
 # The stages between the input and the flatten, as (name, kind, output
@@ -143,10 +145,12 @@ class RcnnModel:
         return out
 
     def predict(self, batch: np.ndarray) -> np.ndarray:
-        """Class indices: softmax then argmax, 32 frames at a time."""
+        """Class indices: softmax then argmax, at most _PREDICT_VALUES input
+        values (and at least one frame) per forward."""
+        chunk = max(1, _PREDICT_VALUES // (self.frame_height * self.frame_width))
         return np.concatenate([
-            softmax(self.forward(batch[i:i + _PREDICT_CHUNK])).argmax(axis=1)
-            for i in range(0, batch.shape[0], _PREDICT_CHUNK)
+            softmax(self.forward(batch[i:i + chunk])).argmax(axis=1)
+            for i in range(0, batch.shape[0], chunk)
         ])
 
 

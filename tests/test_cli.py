@@ -274,11 +274,15 @@ class TestTrain:
 
 
 class TestEvaluate:
-    def test_each_split_choice(self, workspace, capsys):
+    def test_each_split_choice(self, workspace, tmp_path, capsys):
+        # trains its own checkpoint, so it does not depend on TestTrain's
+        common = ["--config", str(workspace["config"]), "--output", str(tmp_path),
+                  "--dataset", str(workspace["out"] / "dataset_ris_on.bin")]
+        assert main(["train", *common]) == 0
         for split in ("test", "train", "all"):
-            assert main(["evaluate", "--config", str(workspace["config"]),
+            assert main(["evaluate", *common, "--model", str(tmp_path / "model.bin"),
                          "--split", split]) == 0
-            doc = json.loads((workspace["out"] / "eval_metrics.json").read_text())
+            doc = json.loads((tmp_path / "eval_metrics.json").read_text())
             assert doc["split"] == split
             assert 0.0 <= doc["accuracy_pct"] <= 100.0
         assert "all: accuracy" in capsys.readouterr().out

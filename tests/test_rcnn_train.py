@@ -10,7 +10,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trgr.gait import CsiRecording
-from trgr.rcnn.layers import BN_EPS, BatchNorm2d, Param, ResidualBlock
+from trgr.rcnn.layers import (
+    BN_EPS,
+    BatchNorm2d,
+    Conv2d,
+    Linear,
+    MaxPool2d,
+    Param,
+    ReLU,
+    ResidualBlock,
+)
 from trgr.rcnn.model import (
     CHECKPOINT_MAGIC,
     RcnnModel,
@@ -370,3 +379,81 @@ class TestResidualIdentity:
         x = rng.standard_normal((2, 2, 5, 5))
         out = block.forward(x, training=True)
         assert np.allclose(out, np.maximum(x, 0.0), atol=1e-12)
+
+
+# where each layer kind keeps the state its backward reads
+BACKWARD_STATE = {Conv2d: "_cache", ReLU: "_mask", MaxPool2d: "_cache", Linear: "_x"}
+
+
+def backward_state(model: RcnnModel) -> list:
+    """The backward state of every Conv2d, ReLU, MaxPool2d and Linear, the
+    convolutions, ReLUs and shortcut inside each ResidualBlock included."""
+    layers = []
+    for layer in model.layers:
+        layers += vars(layer).values() if isinstance(layer, ResidualBlock) else [layer]
+    return [getattr(layer, BACKWARD_STATE[type(layer)]) for layer in layers
+            if type(layer) in BACKWARD_STATE]
+
+
+def training_step(model: RcnnModel, x: np.ndarray, y: np.ndarray) -> None:
+    _, grad = cross_entropy(model.forward(x, training=True), y)
+    model.backward(grad)
+
+
+class TestInference:
+    def test_predict_leaves_no_training_state(self):
+        (x, y), _ = toy_split(train_per_class=2)
+        model, twin = RcnnModel(H, W, 2, seed=4), RcnnModel(H, W, 2, seed=4)
+        for m in (model, twin):
+            training_step(m, x, y)
+            Adam(m.parameters(), learning_rate=0.01).step()
+        # 9 convolutions (4 stages, 2 per block, block 1's shortcut), 8 ReLUs
+        # (4 stages, 2 per block), 3 pools and the classifier
+        assert len(backward_state(model)) == 21
+        assert all(state is not None for state in backward_state(model))
+
+        model.predict(x)
+        assert all(state is None for state in backward_state(model))
+
+        # training still works afterwards, with the gradients of a model that
+        # never predicted
+        training_step(model, x, y)
+        training_step(twin, x, y)
+        for p, q in zip(model.parameters(), twin.parameters()):
+            assert np.array_equal(p.grad, q.grad)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), k=st.integers(2, 3), b=st.integers(1, 2), c=st.integers(1, 3),
+           oh=st.integers(1, 4), ow=st.integers(1, 4), top=st.integers(0, 3),
+           dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1))
+    def test_maxpool_eval_forward_equals_training_forward(self, data, k, b, c, oh, ow, top,
+                                                          dtype, seed):
+        # rows and columns that do not fill a window are dropped
+        h = k * oh + data.draw(st.integers(0, k - 1))
+        w = k * ow + data.draw(st.integers(0, k - 1))
+        # a ReLU of a few integer levels: non-negative, with ties inside windows
+        levels = np.random.default_rng(seed).integers(-2, top + 1, (b, c, h, w))
+        x = ReLU().forward(levels.astype(dtype))
+        pool = MaxPool2d(k)
+        trained = pool.forward(x, training=True)
+        evaluated = pool.forward(x, training=False)
+        assert evaluated.shape == trained.shape == (b, c, oh, ow)
+        assert evaluated.dtype == trained.dtype
+        assert evaluated.tobytes() == trained.tobytes()
+
+    @pytest.mark.parametrize("width, frames, sizes", [
+        (256, 70, [32, 32, 6]),   # desk frames
+        (128, 18, [18]),          # the largest TINY set is one forward
+        (8192, 3, [1, 1, 1]),     # the paper's frames
+    ])
+    def test_predict_chunk_is_set_by_frame_size(self, monkeypatch, width, frames, sizes):
+        seen = []
+
+        def forward(model, batch, training=False):
+            seen.append(len(batch))
+            return np.zeros((len(batch), model.class_count))
+
+        monkeypatch.setattr(RcnnModel, "forward", forward)
+        labels = RcnnModel(150, width, 4).predict(np.zeros((frames, 1, 150, width)))
+        assert seen == sizes
+        assert labels.shape == (frames,)
