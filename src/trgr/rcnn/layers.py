@@ -171,16 +171,11 @@ class MaxPool2d:
         if oh < 1 or ow < 1:
             raise ValueError(f"pooling window {k} does not fit input {h}x{w}")
         windows = x[:, :, :oh * k, :ow * k].reshape(b, c, oh, k, ow, k)
-        if not training:
-            # the input follows a ReLU (no signed zeros), so max equals the
-            # training path's argmax pick
-            self._cache = None
-            return windows.max(axis=(3, 5))
-        windows = windows.transpose(0, 1, 2, 4, 3, 5).reshape(b, c, oh, ow, k * k)
-        idx = windows.argmax(axis=-1)
-        out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
-        self._cache = (idx, x.shape)
-        return out
+        # backward routes each gradient to the window's argmax, which holds
+        # this max
+        self._cache = (windows.transpose(0, 1, 2, 4, 3, 5).reshape(b, c, oh, ow, k * k)
+                       .argmax(axis=-1), x.shape) if training else None
+        return windows.max(axis=(3, 5))
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         idx, (b, c, h, w) = self._cache

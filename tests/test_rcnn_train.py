@@ -426,8 +426,8 @@ class TestInference:
     @given(data=st.data(), k=st.integers(2, 3), b=st.integers(1, 2), c=st.integers(1, 3),
            oh=st.integers(1, 4), ow=st.integers(1, 4), top=st.integers(0, 3),
            dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1))
-    def test_maxpool_eval_forward_equals_training_forward(self, data, k, b, c, oh, ow, top,
-                                                          dtype, seed):
+    def test_maxpool_output_is_the_argmax_backward_routes_to(self, data, k, b, c, oh, ow,
+                                                             top, dtype, seed):
         # rows and columns that do not fill a window are dropped
         h = k * oh + data.draw(st.integers(0, k - 1))
         w = k * ow + data.draw(st.integers(0, k - 1))
@@ -435,11 +435,15 @@ class TestInference:
         levels = np.random.default_rng(seed).integers(-2, top + 1, (b, c, h, w))
         x = ReLU().forward(levels.astype(dtype))
         pool = MaxPool2d(k)
-        trained = pool.forward(x, training=True)
-        evaluated = pool.forward(x, training=False)
-        assert evaluated.shape == trained.shape == (b, c, oh, ow)
-        assert evaluated.dtype == trained.dtype
-        assert evaluated.tobytes() == trained.tobytes()
+        out = pool.forward(x, training=True)
+        idx, _ = pool._cache
+        windows = (x[:, :, :oh * k, :ow * k].reshape(b, c, oh, k, ow, k)
+                   .transpose(0, 1, 2, 4, 3, 5).reshape(b, c, oh, ow, k * k))
+        pick = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+        assert out.shape == pick.shape == (b, c, oh, ow)
+        assert out.dtype == pick.dtype == dtype
+        assert out.tobytes() == pick.tobytes()
+        assert pool.forward(x).tobytes() == out.tobytes()
 
     @pytest.mark.parametrize("width, frames, sizes", [
         (256, 70, [32, 32, 6]),   # desk frames
