@@ -171,11 +171,17 @@ class MaxPool2d:
         if oh < 1 or ow < 1:
             raise ValueError(f"pooling window {k} does not fit input {h}x{w}")
         windows = x[:, :, :oh * k, :ow * k].reshape(b, c, oh, k, ow, k)
+        # the window's k*k strided taps in row-major order; an elementwise
+        # maximum over them is an order of magnitude faster than a reduction
+        # over the two length-k axes
+        taps = [windows[:, :, :, i, :, j] for i in range(k) for j in range(k)]
         # backward routes each gradient to the window's argmax, which holds
-        # this max
-        self._cache = (windows.transpose(0, 1, 2, 4, 3, 5).reshape(b, c, oh, ow, k * k)
-                       .argmax(axis=-1), x.shape) if training else None
-        return windows.max(axis=(3, 5))
+        # this maximum
+        self._cache = (np.stack(taps, axis=-1).argmax(axis=-1), x.shape) if training else None
+        out = taps[0].copy()
+        for tap in taps[1:]:
+            np.maximum(out, tap, out=out)
+        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         idx, (b, c, h, w) = self._cache
