@@ -8,7 +8,7 @@ Subcommands:
     evaluate   score a saved checkpoint on a dataset
     ablate     train on both datasets and report the accuracy delta
 
-Every command is driven by one JSON config (see config.py for the schema),
+Every command is driven by one JSON config (`config.DEFAULTS` is its schema),
 writes its artifacts plus a manifest under the output directory, and exits 0
 only when all outputs were written and the internal audits passed.
 """
@@ -20,6 +20,8 @@ import math
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 from .channel import RisChannel, snr
 from .codebook import Codebook
@@ -162,11 +164,13 @@ def cmd_generate(args) -> int:
 
 
 def _prepared_split(cfg: ExperimentConfig, dataset_path: Path):
+    """The dataset smoothed, normalized and split: stacked (frames, labels) for
+    train and for test.  The per-record lists die here, before any training."""
     if not Path(dataset_path).exists():
         raise FileNotFoundError(f"dataset not found: {dataset_path}")
-    recordings = load_dataset(dataset_path)
-    prepared = [normalize(denoise_recording(rec, cfg.filter_spec)) for rec in recordings]
-    return split_dataset(prepared, cfg.split_seed)
+    split = split_dataset([normalize(denoise_recording(rec, cfg.filter_spec))
+                           for rec in load_dataset(dataset_path)], cfg.split_seed)
+    return recordings_to_arrays(split.train), recordings_to_arrays(split.test)
 
 
 def _class_count(labels: list[int]) -> int:
@@ -180,8 +184,7 @@ def _class_count(labels: list[int]) -> int:
 
 def _train_on(cfg: ExperimentConfig, dataset_path: Path):
     """Train a fresh model: (model, epoch logs, last epoch's test metrics)."""
-    split = _prepared_split(cfg, dataset_path)
-    train_set, test_set = recordings_to_arrays(split.train), recordings_to_arrays(split.test)
+    train_set, test_set = _prepared_split(cfg, dataset_path)
     k = _class_count(train_set[1].tolist() + test_set[1].tolist())
     model = RcnnModel(*train_set[0].shape[2:], k, seed=cfg.model_seed)
     return (model, *train(model, train_set, test_set, cfg.train))
@@ -219,10 +222,12 @@ def cmd_evaluate(args) -> int:
         raise FileNotFoundError(f"checkpoint not found: {model_path}")
     t0 = time.perf_counter()
     model = load_model(model_path)
-    split = _prepared_split(cfg, dataset_path)
-    subset = {"test": split.test, "train": split.train,
-              "all": split.train + split.test}[args.split]
-    metrics = evaluate(model, *recordings_to_arrays(subset))
+    train_set, test_set = _prepared_split(cfg, dataset_path)
+    if args.split == "all":  # train then test, the order the split lists them in
+        frames, labels = (np.concatenate(pair) for pair in zip(train_set, test_set))
+    else:
+        frames, labels = train_set if args.split == "train" else test_set
+    metrics = evaluate(model, frames, labels)
     doc = _metrics_doc(metrics)
     doc["split"] = args.split
     metrics_path = cfg.output_dir / "eval_metrics.json"

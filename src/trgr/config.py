@@ -1,28 +1,9 @@
 """Experiment configuration and run manifests.
 
-A single JSON document drives every command.  Each stage owns a seed; any
-seed omitted from the file is derived from the top-level seed and a fixed
-per-role salt, so configs stay short while reruns stay exactly reproducible.
-Explicit sub-seeds always win over derived ones.
-
-Schema (all sections optional, defaults shown):
-
-    {
-      "seed": 0,
-      "output_dir": "runs/default",
-      "scenario": {
-        "name": "desk", "subcarriers": 256, "noise_variance": 0.5,
-        "wall_attenuation_db": 45.0, "dynamic_path_count": 3,
-        "packets_per_second": 50, "duration_s": 3.0,
-        "ris_rows": 16, "ris_cols": 16, "seed": null
-      },
-      "subjects": {"count": 4, "seed": null},
-      "optimizer": {"outer_iters": 5, "probe_noise_std": 0.0, "probe_seed": null},
-      "dataset": {"episodes_per_subject": 50, "seed": null},
-      "pipeline": {"window": 5, "split_seed": null},
-      "train": {"learning_rate": 0.001, "batch_size": 8, "epochs": 20,
-                "seed": null, "model_seed": null}
-    }
+A single JSON document drives every command, and `DEFAULTS` is its schema.
+Each stage owns a seed; any seed omitted from the file is derived from the
+top-level seed and the role's fixed salt, so configs stay short while reruns
+stay exactly reproducible.  Explicit sub-seeds always win over derived ones.
 """
 from __future__ import annotations
 
@@ -41,25 +22,27 @@ from .pipeline import FilterSpec
 from .rcnn.training import TrainConfig
 from .seeds import mix_seeds
 
-_SALT_SCENARIO = 0x7363656E
-_SALT_SUBJECTS = 0x73756266
-_SALT_PROBE = 0x70726F62
-_SALT_DATASET = 0x64617461
-_SALT_SPLIT = 0x73706C74
-_SALT_TRAIN = 0x7472726E
-_SALT_MODEL = 0x6D6F646C
-
-_SECTION_KEYS = {
-    "scenario": {"name", "subcarriers", "noise_variance", "wall_attenuation_db",
-                 "dynamic_path_count", "packets_per_second", "duration_s",
-                 "ris_rows", "ris_cols", "seed"},
-    "subjects": {"count", "seed"},
-    "optimizer": {"outer_iters", "probe_noise_std", "probe_seed"},
-    "dataset": {"episodes_per_subject", "seed"},
-    "pipeline": {"window", "split_seed"},
-    "train": {"learning_rate", "batch_size", "epochs", "seed", "model_seed"},
+# Every key and its default.  The default's type is the key's type; None marks
+# a sub-seed, an int derived from the top-level seed when absent or null.
+DEFAULTS = {
+    "seed": 0,
+    "output_dir": "runs/default",
+    "scenario": {"name": "desk", "subcarriers": 256, "noise_variance": 0.5,
+                 "wall_attenuation_db": 45.0, "dynamic_path_count": 3,
+                 "packets_per_second": 50, "duration_s": 3.0,
+                 "ris_rows": 16, "ris_cols": 16, "seed": None},
+    "subjects": {"count": 4, "seed": None},
+    "optimizer": {"outer_iters": 5, "probe_noise_std": 0.0, "probe_seed": None},
+    "dataset": {"episodes_per_subject": 50, "seed": None},
+    "pipeline": {"window": 5, "split_seed": None},
+    "train": {"learning_rate": 0.001, "batch_size": 8, "epochs": 20,
+              "seed": None, "model_seed": None},
 }
-_TOP_KEYS = {"seed", "output_dir", *_SECTION_KEYS}
+# the salt each sub-seed is derived with
+_SALTS = {("scenario", "seed"): 0x7363656E, ("subjects", "seed"): 0x73756266,
+          ("optimizer", "probe_seed"): 0x70726F62, ("dataset", "seed"): 0x64617461,
+          ("pipeline", "split_seed"): 0x73706C74, ("train", "seed"): 0x7472726E,
+          ("train", "model_seed"): 0x6D6F646C}
 
 
 @dataclass(frozen=True)
@@ -83,27 +66,20 @@ class ExperimentConfig:
     raw: dict
 
 
-def _check_keys(doc: dict) -> None:
-    unknown = set(doc) - _TOP_KEYS
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for section, allowed in _SECTION_KEYS.items():
-        body = doc.get(section, {})
-        if not isinstance(body, dict):
-            raise ValueError(f"config section {section!r} must be an object")
-        extra = set(body) - allowed
-        if extra:
-            raise ValueError(f"unknown keys in config section {section!r}: {sorted(extra)}")
+def _read(body: dict, key: str, default):
+    """body[key], or the default, as the default's type (int for a sub-seed).
 
-
-def _read(section: dict, key: str, default, kind=int):
-    """section[key], or the default, as `kind`; a str key must hold a string
-    and a float key a finite number."""
-    value = section.get(key, default)
+    A str key takes only a string.  A number key also takes a numeric string
+    but no boolean; an int key takes no fractional number, and a float key
+    only a finite one.
+    """
+    value = body.get(key, default)
+    kind = int if default is None else type(default)
     try:
-        if kind is not str or isinstance(value, str):
+        if not isinstance(value, bool) and (kind is not str or isinstance(value, str)):
             result = kind(value)
-            if kind is not float or math.isfinite(result):
+            whole = not isinstance(value, float) or result == value
+            if whole and (kind is not float or math.isfinite(result)):
                 return result
     except (TypeError, ValueError, OverflowError):
         pass
@@ -111,8 +87,18 @@ def _read(section: dict, key: str, default, kind=int):
     raise ValueError(f"config key {key!r} is not a valid {what}: {value!r}")
 
 
-def _pick_seed(section: dict, key: str, top_seed: int, salt: int) -> int:
-    return mix_seeds(top_seed, salt) if section.get(key) is None else _read(section, key, None)
+def _section(doc: dict, name: str, top_seed: int) -> dict:
+    """Section `name` of the document with every key of `DEFAULTS[name]` read,
+    and every absent or null sub-seed derived from the top-level seed."""
+    body = doc.get(name, {})
+    if not isinstance(body, dict):
+        raise ValueError(f"config section {name!r} must be an object")
+    extra = set(body) - set(DEFAULTS[name])
+    if extra:
+        raise ValueError(f"unknown keys in config section {name!r}: {sorted(extra)}")
+    return {key: mix_seeds(top_seed, _SALTS[name, key])
+            if default is None and body.get(key) is None else _read(body, key, default)
+            for key, default in DEFAULTS[name].items()}
 
 
 def resolve_config(doc: dict, seed_override: int | None = None,
@@ -121,59 +107,28 @@ def resolve_config(doc: dict, seed_override: int | None = None,
     if not isinstance(doc, dict):
         raise ValueError("config root must be a JSON object")
     doc = json.loads(json.dumps(doc))  # private copy, guarantee plain types
-    _check_keys(doc)
+    unknown = set(doc) - set(DEFAULTS)
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
     if seed_override is not None:
         doc["seed"] = int(seed_override)
     if output_override is not None:
         doc["output_dir"] = str(output_override)
-    top_seed = _read(doc, "seed", 0)
-
-    sc = doc.get("scenario", {})
-    ris_rows, ris_cols = _read(sc, "ris_rows", 16), _read(sc, "ris_cols", 16)
-    scenario_seed = _pick_seed(sc, "seed", top_seed, _SALT_SCENARIO)
-    _read(sc, "name", "desk", str)  # a label for the reader: checked, changes no artifact
-    scenario = default_scenario(
-        subcarriers=_read(sc, "subcarriers", 256),
-        seed=scenario_seed,
-        noise_variance=_read(sc, "noise_variance", 0.5, float),
-        wall_attenuation_db=_read(sc, "wall_attenuation_db", 45.0, float),
-        dynamic_path_count=_read(sc, "dynamic_path_count", 3),
-        ris_rows=ris_rows, ris_cols=ris_cols,
-        packets_per_second=_read(sc, "packets_per_second", 50),
-        duration_s=_read(sc, "duration_s", 3.0, float),
-    )
-
-    sub = doc.get("subjects", {})
-    profiles = default_profiles(
-        count=_read(sub, "count", 4),
-        seed=_pick_seed(sub, "seed", top_seed, _SALT_SUBJECTS),
-    )
-
-    opt = doc.get("optimizer", {})
-    pipe = doc.get("pipeline", {})
-    ds = doc.get("dataset", {})
-    tr = doc.get("train", {})
-    train = TrainConfig(
-        learning_rate=_read(tr, "learning_rate", 1e-3, float),
-        batch_size=_read(tr, "batch_size", 8),
-        epochs=_read(tr, "epochs", 20),
-        seed=_pick_seed(tr, "seed", top_seed, _SALT_TRAIN),
-    )
-
+    top_seed = _read(doc, "seed", DEFAULTS["seed"])
+    scenario, subjects, opt, ds, pipe, tr = (_section(doc, name, top_seed) for name in (
+        "scenario", "subjects", "optimizer", "dataset", "pipeline", "train"))
+    del scenario["name"]  # a label for the reader: checked, changes no artifact
+    model_seed = tr.pop("model_seed")
     return ExperimentConfig(
-        scenario=scenario,
-        ris_rows=ris_rows, ris_cols=ris_cols,
-        profiles=profiles,
-        outer_iters=_read(opt, "outer_iters", 5),
-        probe_noise_std=_read(opt, "probe_noise_std", 0.0, float),
-        probe_seed=_pick_seed(opt, "probe_seed", top_seed, _SALT_PROBE),
-        episodes_per_subject=_read(ds, "episodes_per_subject", 50),
-        dataset_seed=_pick_seed(ds, "seed", top_seed, _SALT_DATASET),
-        filter_spec=FilterSpec(window=_read(pipe, "window", 5)),
-        split_seed=_pick_seed(pipe, "split_seed", top_seed, _SALT_SPLIT),
-        train=train,
-        model_seed=_pick_seed(tr, "model_seed", top_seed, _SALT_MODEL),
-        output_dir=Path(_read(doc, "output_dir", "runs/default", str)),
+        scenario=default_scenario(**scenario),
+        ris_rows=scenario["ris_rows"], ris_cols=scenario["ris_cols"],
+        profiles=default_profiles(**subjects),
+        outer_iters=opt["outer_iters"], probe_noise_std=opt["probe_noise_std"],
+        probe_seed=opt["probe_seed"],
+        episodes_per_subject=ds["episodes_per_subject"], dataset_seed=ds["seed"],
+        filter_spec=FilterSpec(window=pipe["window"]), split_seed=pipe["split_seed"],
+        train=TrainConfig(**tr), model_seed=model_seed,
+        output_dir=Path(_read(doc, "output_dir", DEFAULTS["output_dir"])),
         raw=doc,
     )
 
@@ -216,7 +171,7 @@ def build_manifest(command: str, cfg: ExperimentConfig, artifacts: dict[str, Pat
         },
         "command": command,
         "config_sha256": config_digest(cfg),
-        "seed": int(cfg.raw.get("seed", 0)),
+        "seed": int(cfg.raw.get("seed", DEFAULTS["seed"])),
         "timings_s": {k: round(v, 3) for k, v in sorted(timings.items())},
         "versions": {
             "numpy": np.__version__,

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from trgr.codebook import Codebook, line_flip, phase_matrix
+
+SEEDED_GRID = np.random.default_rng(8).integers(0, 2, (5, 4), dtype=np.uint8)
 
 
 class TestConstruction:
@@ -95,11 +98,15 @@ class TestLineFlip:
         out = line_flip(cb, "column", 2)
         assert out.grid.tolist() == [[0, 1, 1], [1, 1, 0]]
 
-    def test_flip_is_involutive(self):
-        rng = np.random.default_rng(8)
-        cb = Codebook(rng.integers(0, 2, (5, 4), dtype=np.uint8))
-        for kind, idx in (("row", 3), ("column", 1)):
-            assert line_flip(line_flip(cb, kind, idx), kind, idx) == cb
+    @given(grid=arrays(np.uint8, st.tuples(st.integers(1, 8), st.integers(1, 8)),
+                       elements=st.integers(0, 1)),
+           kind=st.sampled_from(("row", "column")), index=st.integers(0, 7))
+    @example(grid=SEEDED_GRID, kind="row", index=3)
+    @example(grid=SEEDED_GRID, kind="column", index=1)
+    def test_flip_is_involutive(self, grid, kind, index):
+        cb = Codebook(grid)
+        index %= grid.shape[0 if kind == "row" else 1]  # any row or column of the grid
+        assert line_flip(line_flip(cb, kind, index), kind, index) == cb
 
     def test_row_and_column_flips_commute(self):
         rng = np.random.default_rng(13)

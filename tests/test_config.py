@@ -1,11 +1,14 @@
 """Config resolution: defaults, seed derivation, overrides, manifests."""
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import trgr.config
 from trgr.config import (
+    DEFAULTS,
     build_manifest,
     config_digest,
     file_digest,
@@ -30,9 +33,14 @@ class TestDefaults:
         assert cfg.train.batch_size == 8
 
     def test_schema_block_shows_the_defaults(self):
-        doc = trgr.config.__doc__
-        assert "defaults shown" in doc
-        block = json.loads(doc[doc.index("{"):doc.rindex("}") + 1])
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        start = readme.index("```jsonc\n", readme.index("## Config schema")) + len("```jsonc\n")
+        block = json.loads(re.sub(r"//.*", "", readme[start:readme.index("```", start)]))
+        # equal as JSON text, so 45 and 45.0 differ as the key types do
+        assert json.dumps(block, sort_keys=True) == json.dumps(DEFAULTS, sort_keys=True)
+        sub_seeds = {(name, key) for name, body in DEFAULTS.items() if isinstance(body, dict)
+                     for key, default in body.items() if default is None}
+        assert sub_seeds == set(trgr.config._SALTS)
         shown, empty = resolve_config(block), resolve_config({})
         for field in ("probe_seed", "dataset_seed", "split_seed", "model_seed", "profiles",
                       "train", "output_dir", "ris_rows", "ris_cols", "outer_iters",
@@ -139,6 +147,13 @@ class TestOverridesAndSections:
         {"scenario": {"duration_s": float("inf")}},
         {"scenario": {"noise_variance": float("-inf")}},
         {"train": {"learning_rate": "NaN"}},
+        {"train": {"epochs": 2.9}},
+        {"train": {"batch_size": True}},
+        {"seed": False},
+        {"dataset": {"seed": 1.5}},
+        {"subjects": {"count": "2.5"}},
+        {"scenario": {"noise_variance": True}},
+        {"optimizer": {"probe_noise_std": False}},
     ])
     def test_wrong_typed_value_rejected(self, doc):
         with pytest.raises(ValueError, match="config"):
@@ -150,6 +165,12 @@ class TestOverridesAndSections:
         assert cfg.scenario.grid.count == 128
         assert cfg.train.learning_rate == 0.01
         assert cfg.dataset_seed == resolve_config({"seed": 3}).dataset_seed
+        # integral floats convert to int keys too
+        cfg = resolve_config({"seed": 3.0, "train": {"epochs": 8.0, "batch_size": "3"},
+                              "dataset": {"seed": 5.0}})
+        ints = (cfg.train.epochs, cfg.train.batch_size, cfg.dataset_seed)
+        assert ints == (8, 3, 5) and all(type(v) is int for v in ints)
+        assert cfg.split_seed == resolve_config({"seed": 3}).split_seed
 
 
 class TestLoadConfig:
