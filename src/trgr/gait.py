@@ -266,6 +266,8 @@ def default_scenario(subcarriers: int = 256, seed: int = 7,
                      ris_cols: int = 16, packets_per_second: int = 50,
                      duration_s: float = 3.0) -> ScenarioConfig:
     """Seeded 16x16 rich-scattering through-wall scenario at desk scale."""
+    if ris_rows < 1 or ris_cols < 1:
+        raise ValueError(f"ris_rows and ris_cols must be >= 1, got {ris_rows}x{ris_cols}")
     return ScenarioConfig(
         direct=leaky_direct_channel(seed),
         ris=rich_scattering_ris(ris_rows, ris_cols, seed),

@@ -3,10 +3,9 @@
 Layers cache whatever the backward pass needs on a training forward, compute
 gradients for exactly one backward per forward, and write parameter gradients
 by assignment (each parameter is touched once per pass, so no accumulation is
-needed).  An eval forward stores nothing, which also frees what the last
-training step left; BatchNorm is the exception, because its backward also
-runs in eval mode.  Convolutions use the cross-correlation convention with
-output size floor((H + 2p - k) / s) + 1.
+needed).  Every layer keeps that state in `_cache`; an eval forward sets it to
+None, which also frees what the last training step left.  Convolutions use the
+cross-correlation convention with output size floor((H + 2p - k) / s) + 1.
 """
 from __future__ import annotations
 
@@ -49,13 +48,10 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
     return windows[:, :, ::sh, ::sw].transpose(0, 1, 4, 5, 2, 3)
 
 
-def _col2im(dcols: np.ndarray, padded_shape, kh: int, kw: int, sh: int, sw: int,
-            oh: int, ow: int) -> np.ndarray:
-    dxp = np.zeros(padded_shape, dtype=dcols.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            dxp[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw] += dcols[:, :, i, j]
-    return dxp
+def _taps(x: np.ndarray, kh: int, kw: int, sh: int, sw: int, oh: int, ow: int) -> list:
+    """The kh*kw writable (B, C, oh, ow) views of a window's taps, in row-major
+    order: tap i*kw + j is [..., y, x] -> x[..., i + sh*y, j + sw*x]."""
+    return [x[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw] for i in range(kh) for j in range(kw)]
 
 
 class Conv2d:
@@ -94,8 +90,10 @@ class Conv2d:
         self.w.grad = np.tensordot(g_mat, cols_mat, axes=([0, 2], [0, 2])).reshape(self.w.data.shape)
         self.b.grad = grad.sum(axis=(0, 2, 3))
         dcols = self.w.data.reshape(self.c_out, -1).T @ g_mat
-        dxp = _col2im(dcols.reshape(b, self.c_in, kh, kw, oh, ow),
-                      padded_shape, kh, kw, sh, sw, oh, ow)
+        dcols = dcols.reshape(b, self.c_in, kh * kw, oh, ow)
+        dxp = np.zeros(padded_shape, dtype=dcols.dtype)
+        for t, tap in enumerate(_taps(dxp, kh, kw, sh, sw, oh, ow)):
+            tap += dcols[:, :, t]
         return dxp[:, :, ph:padded_shape[2] - ph, pw:padded_shape[3] - pw]
 
     def params(self) -> list[Param]:
@@ -120,18 +118,20 @@ class BatchNorm2d:
         else:
             mean, var = self.running_mean, self.running_var
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = (x - mean.reshape(1, -1, 1, 1)) * inv_std.reshape(1, -1, 1, 1)
-        self._cache = (xhat, inv_std, training, x.shape)
-        return self.gamma.data.reshape(1, -1, 1, 1) * xhat + self.beta.data.reshape(1, -1, 1, 1)
+        # in place: two fresh arrays per call instead of four, so an eval
+        # forward, which keeps nothing, churns the allocator less
+        xhat = x - mean.reshape(1, -1, 1, 1)
+        xhat *= inv_std.reshape(1, -1, 1, 1)
+        self._cache = (xhat, inv_std) if training else None
+        out = self.gamma.data.reshape(1, -1, 1, 1) * xhat
+        return np.add(out, self.beta.data.reshape(1, -1, 1, 1), out=out)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        xhat, inv_std, training, shape = self._cache
+        xhat, inv_std = self._cache
         self.gamma.grad = (grad * xhat).sum(axis=(0, 2, 3))
         self.beta.grad = grad.sum(axis=(0, 2, 3))
         dxhat = grad * self.gamma.data.reshape(1, -1, 1, 1)
-        if not training:
-            return dxhat * inv_std.reshape(1, -1, 1, 1)
-        n = shape[0] * shape[2] * shape[3]
+        n = grad.shape[0] * grad.shape[2] * grad.shape[3]
         sum_d = dxhat.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1)
         sum_dx = (dxhat * xhat).sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1)
         return (inv_std.reshape(1, -1, 1, 1) / n) * (n * dxhat - sum_d - xhat * sum_dx)
@@ -142,15 +142,15 @@ class BatchNorm2d:
 
 class ReLU:
     def __init__(self):
-        self._mask = None
+        self._cache = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         mask = x > 0
-        self._mask = mask if training else None
+        self._cache = mask if training else None
         return np.where(mask, x, 0.0)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        return np.where(self._mask, grad, 0.0)
+        return np.where(self._cache, grad, 0.0)
 
     def params(self) -> list[Param]:
         return []
@@ -166,17 +166,15 @@ class MaxPool2d:
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         k = self.kernel
-        b, c, h, w = x.shape
+        h, w = x.shape[2:]
         oh, ow = h // k, w // k
         if oh < 1 or ow < 1:
             raise ValueError(f"pooling window {k} does not fit input {h}x{w}")
-        windows = x[:, :, :oh * k, :ow * k].reshape(b, c, oh, k, ow, k)
-        # the window's k*k strided taps in row-major order; an elementwise
-        # maximum over them is an order of magnitude faster than a reduction
-        # over the two length-k axes
-        taps = [windows[:, :, :, i, :, j] for i in range(k) for j in range(k)]
-        # backward routes each gradient to the window's argmax, which holds
-        # this maximum
+        # an elementwise maximum over the taps is an order of magnitude faster
+        # than a reduction over two length-k axes of a reshaped view
+        taps = _taps(x, k, k, k, k, oh, ow)
+        # backward routes each gradient to the window's first argmax, which
+        # holds this maximum
         self._cache = (np.stack(taps, axis=-1).argmax(axis=-1), x.shape) if training else None
         out = taps[0].copy()
         for tap in taps[1:]:
@@ -184,15 +182,11 @@ class MaxPool2d:
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        idx, (b, c, h, w) = self._cache
+        idx, shape = self._cache
         k = self.kernel
-        oh, ow = h // k, w // k
-        dwin = np.zeros((b, c, oh, ow, k * k), dtype=grad.dtype)
-        np.put_along_axis(dwin, idx[..., None], grad[..., None], axis=-1)
-        dx = np.zeros((b, c, h, w), dtype=grad.dtype)
-        dx[:, :, :oh * k, :ow * k] = (dwin.reshape(b, c, oh, ow, k, k)
-                                      .transpose(0, 1, 2, 4, 3, 5)
-                                      .reshape(b, c, oh * k, ow * k))
+        dx = np.zeros(shape, dtype=grad.dtype)
+        for t, tap in enumerate(_taps(dx, k, k, k, k, *idx.shape[2:])):
+            tap[...] = np.where(idx == t, grad, 0.0)
         return dx
 
     def params(self) -> list[Param]:
@@ -201,14 +195,14 @@ class MaxPool2d:
 
 class Flatten:
     def __init__(self):
-        self._shape = None
+        self._cache = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._shape = x.shape
+        self._cache = x.shape if training else None
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        return grad.reshape(self._shape)
+        return grad.reshape(self._cache)
 
     def params(self) -> list[Param]:
         return []
@@ -220,14 +214,14 @@ class Linear:
         self.in_features, self.out_features = in_features, out_features
         self.w = Param(_kaiming_uniform(rng, (in_features, out_features), in_features, dtype))
         self.b = Param(np.zeros(out_features, dtype=dtype))
-        self._x = None
+        self._cache = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._x = x if training else None
+        self._cache = x if training else None
         return x @ self.w.data + self.b.data
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        self.w.grad = self._x.T @ grad
+        self.w.grad = self._cache.T @ grad
         self.b.grad = grad.sum(axis=0)
         return grad @ self.w.data.T
 
@@ -247,17 +241,14 @@ class ResidualBlock:
         self.relu1 = ReLU()
         self.conv2 = Conv2d(channels, channels, (3, 3), (1, 1), (1, 1), rng, dtype)
         self.bn2 = BatchNorm2d(channels, dtype=dtype)
-        if stride == 1:
-            self.shortcut_conv = None
-            self.shortcut_bn = None
-        else:
-            self.shortcut_conv = Conv2d(channels, channels, (1, 1), (stride, stride), (0, 0),
-                                        rng, dtype)
-            self.shortcut_bn = BatchNorm2d(channels, dtype=dtype)
         self.relu_out = ReLU()
         # the layers holding parameters, in parameter and checkpoint order
         self.sublayers = [self.conv1, self.bn1, self.conv2, self.bn2]
-        if self.shortcut_conv is not None:
+        self.shortcut_conv = self.shortcut_bn = None
+        if stride != 1:
+            self.shortcut_conv = Conv2d(channels, channels, (1, 1), (stride, stride), (0, 0),
+                                        rng, dtype)
+            self.shortcut_bn = BatchNorm2d(channels, dtype=dtype)
             self.sublayers += [self.shortcut_conv, self.shortcut_bn]
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:

@@ -223,6 +223,11 @@ def load_model(path, dtype=np.float64) -> RcnnModel:
             raise ValueError(f"unknown layer kind code {record[0]}")
         table.append(record)
 
+    # the classifier's fc_in x K weights dwarf every other array: a header
+    # that claims more than the file holds must fail before they are allocated
+    fc_in = shape_chain(height, width, class_count)[-2][1][0]
+    if 4 * fc_in * class_count > len(raw) - offset:
+        raise ValueError("checkpoint truncated inside the parameter block")
     model = RcnnModel(height, width, class_count, dtype=dtype)
     if table != [_layer_record(layer) for layer in model.layers]:
         raise ValueError("checkpoint layer table does not match the fixed architecture")

@@ -5,6 +5,7 @@ measured numbers, then asserts.  The heavy end-to-end checks (5 and 6) drive
 the real CLI through subprocesses on the committed config presets.
 """
 import json
+import os
 import subprocess
 import sys
 import time
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+import trgr
 from helpers import run_gradient_suite
 from trgr.channel import NoiseSpec, RisChannel, snr
 from trgr.cli import main
@@ -31,8 +33,11 @@ def report(name: str, ok: bool, detail: str) -> None:
 
 
 def run_cli(args, cwd=ROOT, timeout=1800) -> subprocess.CompletedProcess:
-    return subprocess.run([sys.executable, "-m", "trgr.cli", *args],
-                          cwd=cwd, capture_output=True, text=True, timeout=timeout)
+    # the child runs the trgr these tests import, whether or not it is installed
+    path = [str(Path(trgr.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run([sys.executable, "-m", "trgr.cli", *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def test_criterion_1_shape_fidelity(capsys):

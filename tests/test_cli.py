@@ -294,6 +294,20 @@ class TestEvaluate:
                      "--model", str(out / "missing_model.bin")]) == 1
         assert "missing_model.bin" in capsys.readouterr().err
 
+    def test_oversized_checkpoint_fails_before_allocating(self, tmp_path, capsys):
+        # a real 19-layer table whose header claims 150 x 2^26 frames and a
+        # 60000-class classifier, with no parameter block: 938 GiB of weights
+        save_model(RcnnModel(150, 256, 4), tmp_path / "small.bin")
+        raw = bytearray((tmp_path / "small.bin").read_bytes()[:306])
+        raw[13:17] = (2 ** 26).to_bytes(4, "little")  # frame width
+        raw[17:19] = raw[-2:] = (60000).to_bytes(2, "little")  # classes, Linear outputs
+        (tmp_path / "model.bin").write_bytes(bytes(raw))
+        cfg = write_config(tmp_path, tmp_path / "e")
+        assert main(["evaluate", "--config", str(cfg),
+                     "--model", str(tmp_path / "model.bin")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: checkpoint truncated inside the parameter block"]
+
 
 class TestAblate:
     def test_reuses_explicit_datasets_and_reports_delta(self, workspace, tmp_path, capsys):
@@ -350,6 +364,18 @@ class TestConfigErrors:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
         assert not out.exists()  # rejected before the output directory is made
+
+    @pytest.mark.parametrize("command, size", [
+        ("optimize", {"ris_rows": 0, "ris_cols": 0}),
+        ("generate", {"ris_cols": -3}),
+    ])
+    def test_empty_surface_fails_before_any_search(self, tmp_path, capsys, command, size):
+        out = tmp_path / "empty"
+        cfg = write_config(tmp_path, out, scenario=size)
+        assert main([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "ris_rows" in err[0]
+        assert not out.exists()
 
     def test_wrong_typed_name_fails_before_any_dataset(self, tmp_path, capsys):
         out = tmp_path / "typed"

@@ -1,4 +1,6 @@
 """Analytic vs finite-difference gradients for every layer kind."""
+import zlib
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,9 @@ TRIALS = 20
 
 @pytest.mark.parametrize("kind", sorted(LAYER_TRIALS))
 def test_layer_gradients_match_finite_differences(kind):
-    rng = np.random.default_rng(0xC0FFEE ^ hash(kind) & 0xFFFF)
+    # crc32, not hash(): str hashes change with every process, so a failing
+    # trial could not be replayed
+    rng = np.random.default_rng(zlib.crc32(kind.encode()))
     worst = max(LAYER_TRIALS[kind](rng) for _ in range(TRIALS))
     assert worst <= TOLERANCE, f"{kind}: worst relative error {worst:.3e}"
 

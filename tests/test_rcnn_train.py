@@ -14,6 +14,7 @@ from trgr.rcnn.layers import (
     BN_EPS,
     BatchNorm2d,
     Conv2d,
+    Flatten,
     Linear,
     MaxPool2d,
     Param,
@@ -381,18 +382,17 @@ class TestResidualIdentity:
         assert np.allclose(out, np.maximum(x, 0.0), atol=1e-12)
 
 
-# where each layer kind keeps the state its backward reads
-BACKWARD_STATE = {Conv2d: "_cache", ReLU: "_mask", MaxPool2d: "_cache", Linear: "_x"}
+# the layer kinds that keep backward state; each keeps it in `_cache`
+STATEFUL = (Conv2d, BatchNorm2d, ReLU, MaxPool2d, Flatten, Linear)
 
 
 def backward_state(model: RcnnModel) -> list:
-    """The backward state of every Conv2d, ReLU, MaxPool2d and Linear, the
-    convolutions, ReLUs and shortcut inside each ResidualBlock included."""
+    """The `_cache` of every stateful layer, the layers inside each
+    ResidualBlock included."""
     layers = []
     for layer in model.layers:
         layers += vars(layer).values() if isinstance(layer, ResidualBlock) else [layer]
-    return [getattr(layer, BACKWARD_STATE[type(layer)]) for layer in layers
-            if type(layer) in BACKWARD_STATE]
+    return [layer._cache for layer in layers if isinstance(layer, STATEFUL)]
 
 
 def training_step(model: RcnnModel, x: np.ndarray, y: np.ndarray) -> None:
@@ -407,9 +407,10 @@ class TestInference:
         for m in (model, twin):
             training_step(m, x, y)
             Adam(m.parameters(), learning_rate=0.01).step()
-        # 9 convolutions (4 stages, 2 per block, block 1's shortcut), 8 ReLUs
-        # (4 stages, 2 per block), 3 pools and the classifier
-        assert len(backward_state(model)) == 21
+        # 9 convolutions and 9 BatchNorms (4 stages, 2 per block, block 1's
+        # shortcut), 8 ReLUs (4 stages, 2 per block), 3 pools, the flatten and
+        # the classifier
+        assert len(backward_state(model)) == 31
         assert all(state is not None for state in backward_state(model))
 
         model.predict(x)
@@ -443,6 +444,15 @@ class TestInference:
         assert out.shape == pick.shape == (b, c, oh, ow)
         assert out.dtype == pick.dtype == dtype
         assert out.tobytes() == pick.tobytes()
+        # each window's gradient lands on its first row-major maximum; every
+        # other entry, trailing rows and columns included, stays zero
+        grad = np.random.default_rng(seed + 1).standard_normal(out.shape).astype(dtype)
+        expected = np.zeros_like(x)
+        for n, ch, i, j in np.ndindex(b, c, oh, ow):
+            window = x[n, ch, i * k:(i + 1) * k, j * k:(j + 1) * k]
+            r, s = divmod(int(np.flatnonzero(window == window.max())[0]), k)
+            expected[n, ch, i * k + r, j * k + s] = grad[n, ch, i, j]
+        assert pool.backward(grad).tobytes() == expected.tobytes()
         assert pool.forward(x).tobytes() == out.tobytes()
         assert not np.shares_memory(out, x)
 
