@@ -9,8 +9,9 @@ Subcommands:
     ablate     train on both datasets and report the accuracy delta
 
 Every command is driven by one JSON config (`config.DEFAULTS` is its schema),
-writes its artifacts plus a manifest under the output directory, and exits 0
-only when all outputs were written and the internal audits passed.
+writes its artifacts plus a manifest under the output directory (created with
+the first artifact), and exits 0 only when all outputs were written and the
+internal audits passed.
 """
 from __future__ import annotations
 
@@ -41,11 +42,15 @@ from .ris import BRUTE_FORCE_MAX_BITS, brute_force, optimize, snr_probe
 
 def _load_cfg(args) -> ExperimentConfig:
     if args.config is not None:
-        cfg = load_config(args.config, args.seed, args.output)
-    else:
-        cfg = resolve_config({}, args.seed, args.output)
+        return load_config(args.config, args.seed, args.output)
+    return resolve_config({}, args.seed, args.output)
+
+
+def _output_dir(cfg: ExperimentConfig) -> Path:
+    """The output directory, created by the first artifact a command writes,
+    so a command that fails on its inputs leaves nothing behind."""
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    return cfg
+    return cfg.output_dir
 
 
 def _save_manifest(command: str, cfg: ExperimentConfig, artifacts: dict[str, Path],
@@ -105,7 +110,7 @@ def cmd_optimize(args) -> int:
         _, best = brute_force(probe, cfg.ris_rows, cfg.ris_cols)
         report["brute_force_strength"] = best
         report["gap_to_brute_force"] = best - trace.best_strength
-    out = cfg.output_dir
+    out = _output_dir(cfg)
     codebook_path = out / "codebook.txt"
     trace_path = out / "trace.csv"
     report_path = out / "snr_report.json"
@@ -145,8 +150,11 @@ def _generate_datasets(cfg: ExperimentConfig, paths: dict[str, Path]) -> None:
         else:  # the same room with the surface removed needs no codebook
             scenario = dataclasses.replace(cfg.scenario, ris=RisChannel.empty())
             codebook = Codebook.zeros(0, 0)
-        save_dataset(path, generate_dataset(cfg.profiles, scenario, codebook,
-                                            cfg.episodes_per_subject, cfg.dataset_seed))
+        recordings = generate_dataset(cfg.profiles, scenario, codebook,
+                                      cfg.episodes_per_subject, cfg.dataset_seed)
+        _output_dir(cfg)
+        save_dataset(path, recordings)
+        del recordings  # freed before the next dataset renders
 
 
 def cmd_generate(args) -> int:
@@ -195,7 +203,7 @@ def cmd_train(args) -> int:
     dataset_path = Path(args.dataset) if args.dataset else _dataset_paths(cfg)["ris_on"]
     t0 = time.perf_counter()
     model, logs, metrics = _train_on(cfg, dataset_path)
-    out = cfg.output_dir
+    out = _output_dir(cfg)
     ckpt_path = out / "model.bin"
     log_path = out / "training_log.csv"
     metrics_path = out / "metrics.json"
@@ -230,7 +238,7 @@ def cmd_evaluate(args) -> int:
     metrics = evaluate(model, frames, labels)
     doc = _metrics_doc(metrics)
     doc["split"] = args.split
-    metrics_path = cfg.output_dir / "eval_metrics.json"
+    metrics_path = _output_dir(cfg) / "eval_metrics.json"
     write_json(metrics_path, doc)
     _save_manifest("evaluate", cfg, {
         "metrics": metrics_path, "dataset": dataset_path, "checkpoint": model_path,
@@ -263,7 +271,7 @@ def cmd_ablate(args) -> int:
         report["ris_on"]["accuracy_pct"] - report["ris_off"]["accuracy_pct"], 2)
     print(f"accuracy delta {report['accuracy_delta_pp']:+.2f} pp (ris_on - ris_off)")
 
-    report_path = cfg.output_dir / "ablation_report.json"
+    report_path = _output_dir(cfg) / "ablation_report.json"
     write_json(report_path, report)
     _save_manifest("ablate", cfg, {"ablation_report": report_path}, t0)
     return 0
@@ -328,8 +336,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        # a bare MemoryError has no message; numpy's names the allocation
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -53,19 +53,6 @@ class Codebook:
         """R lines of C characters '0'/'1'."""
         return "\n".join("".join(str(b) for b in row) for row in self.grid) + "\n"
 
-    @classmethod
-    def from_text(cls, text: str) -> "Codebook":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ValueError("empty codebook text")
-        width = len(lines[0])
-        rows = []
-        for ln in lines:
-            if len(ln) != width or any(ch not in "01" for ch in ln):
-                raise ValueError(f"bad codebook line: {ln!r}")
-            rows.append([int(ch) for ch in ln])
-        return cls(np.array(rows, dtype=np.uint8))
-
 
 def phase_matrix(codebook: Codebook) -> np.ndarray:
     """Per-element phase shifts theta_n = bit * pi, row-major, length N."""

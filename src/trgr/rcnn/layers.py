@@ -1,11 +1,12 @@
 """CNN building blocks with explicit forward/backward passes.
 
-Layers cache whatever the backward pass needs on a training forward, compute
-gradients for exactly one backward per forward, and write parameter gradients
-by assignment (each parameter is touched once per pass, so no accumulation is
-needed).  Every layer keeps that state in `_cache`; an eval forward sets it to
-None, which also frees what the last training step left.  Convolutions use the
-cross-correlation convention with output size floor((H + 2p - k) / s) + 1.
+Every layer follows one protocol, `Layer`: a training forward keeps what the
+backward reads in `_cache` and an eval forward sets it to None; backward writes
+parameter gradients by assignment, one backward per forward; `state()` lists
+the arrays a checkpoint persists.  `Chain` is the one walk over a layer
+sequence, and `_windows` the one window helper, serving the convolution forward
+and backward and both pooling passes.  Convolutions use the cross-correlation
+convention with output size floor((H + 2p - k) / s) + 1.
 """
 from __future__ import annotations
 
@@ -42,19 +43,50 @@ def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.
     return rng.uniform(-bound, bound, shape).astype(dtype)
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
-    """(B, C, kh, kw, oh, ow) view: [..., i, j, y, x] is xp[..., i + sh*y, j + sw*x]."""
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
+def _windows(x: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
+    """Writable (B, C, kh, kw, oh, ow) view, floor sizes: [..., i, j, y, x] is
+    x[..., i + sh*y, j + sw*x].  Overlapping windows alias: write one tap at a time."""
+    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3), writeable=True)
     return windows[:, :, ::sh, ::sw].transpose(0, 1, 4, 5, 2, 3)
 
 
-def _taps(x: np.ndarray, kh: int, kw: int, sh: int, sw: int, oh: int, ow: int) -> list:
-    """The kh*kw writable (B, C, oh, ow) views of a window's taps, in row-major
-    order: tap i*kw + j is [..., y, x] -> x[..., i + sh*y, j + sw*x]."""
-    return [x[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw] for i in range(kh) for j in range(kw)]
+class Layer:
+    """The defaults of the layer protocol: no backward state, no parameters."""
+
+    _cache = None
+
+    def parameters(self) -> list[Param]:
+        return []
+
+    def state(self) -> list[np.ndarray]:
+        """The arrays a checkpoint persists, in checkpoint order."""
+        return [p.data for p in self.parameters()]
 
 
-class Conv2d:
+class Chain(Layer):
+    """Layers run in order, backward in reverse; an empty chain is the identity."""
+
+    def __init__(self, layers=()):
+        self.layers = list(layers)
+
+    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+        for layer in self.layers:
+            x = layer.forward(x, training)
+        return x
+
+    def backward(self, grad: np.ndarray) -> np.ndarray:
+        for layer in reversed(self.layers):
+            grad = layer.backward(grad)
+        return grad
+
+    def parameters(self) -> list[Param]:
+        return [p for layer in self.layers for p in layer.parameters()]
+
+    def state(self) -> list[np.ndarray]:
+        return [a for layer in self.layers for a in layer.state()]
+
+
+class Conv2d(Layer):
     def __init__(self, c_in: int, c_out: int, kernel, stride, padding,
                  rng: np.random.Generator, dtype=np.float64):
         self.c_in, self.c_out = c_in, c_out
@@ -62,52 +94,47 @@ class Conv2d:
         fan_in = c_in * kernel[0] * kernel[1]
         self.w = Param(_kaiming_uniform(rng, (c_out, c_in, *kernel), fan_in, dtype))
         self.b = Param(np.zeros(c_out, dtype=dtype))
-        self._cache = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         b, c, h, w = x.shape
         if c != self.c_in:
             raise ValueError(f"expected {self.c_in} input channels, got {c}")
-        kh, kw = self.kernel
-        sh, sw = self.stride
-        ph, pw = self.padding
+        (kh, kw), (sh, sw), (ph, pw) = self.kernel, self.stride, self.padding
         oh = conv_output_size(h, kh, sh, ph)
         ow = conv_output_size(w, kw, sw, pw)
         xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x
-        cols_mat = _im2col(xp, kh, kw, sh, sw).reshape(b, c * kh * kw, oh * ow)
+        cols_mat = _windows(xp, kh, kw, sh, sw).reshape(b, c * kh * kw, oh * ow)
         out = self.w.data.reshape(self.c_out, -1) @ cols_mat
         out = out.reshape(b, self.c_out, oh, ow) + self.b.data.reshape(1, -1, 1, 1)
-        self._cache = (cols_mat, xp.shape, (oh, ow)) if training else None
+        self._cache = (cols_mat, xp.shape) if training else None
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        cols_mat, padded_shape, (oh, ow) = self._cache
-        b = grad.shape[0]
-        kh, kw = self.kernel
-        sh, sw = self.stride
-        ph, pw = self.padding
+        cols_mat, padded_shape = self._cache
+        b, _, oh, ow = grad.shape
+        (kh, kw), (sh, sw), (ph, pw) = self.kernel, self.stride, self.padding
         g_mat = grad.reshape(b, self.c_out, oh * ow)
         self.w.grad = np.tensordot(g_mat, cols_mat, axes=([0, 2], [0, 2])).reshape(self.w.data.shape)
         self.b.grad = grad.sum(axis=(0, 2, 3))
         dcols = self.w.data.reshape(self.c_out, -1).T @ g_mat
-        dcols = dcols.reshape(b, self.c_in, kh * kw, oh, ow)
+        dcols = dcols.reshape(b, self.c_in, kh, kw, oh, ow)
         dxp = np.zeros(padded_shape, dtype=dcols.dtype)
-        for t, tap in enumerate(_taps(dxp, kh, kw, sh, sw, oh, ow)):
-            tap += dcols[:, :, t]
+        windows = _windows(dxp, kh, kw, sh, sw)
+        for i, j in np.ndindex(kh, kw):
+            windows[:, :, i, j] += dcols[:, :, i, j]
         return dxp[:, :, ph:padded_shape[2] - ph, pw:padded_shape[3] - pw]
 
-    def params(self) -> list[Param]:
+    def parameters(self) -> list[Param]:
         return [self.w, self.b]
 
 
-class BatchNorm2d:
+class BatchNorm2d(Layer):
     def __init__(self, channels: int, dtype=np.float64):
         self.channels = channels
         self.gamma = Param(np.ones(channels, dtype=dtype))
         self.beta = Param(np.zeros(channels, dtype=dtype))
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
-        self._cache = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if training:
@@ -136,14 +163,15 @@ class BatchNorm2d:
         sum_dx = (dxhat * xhat).sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1)
         return (inv_std.reshape(1, -1, 1, 1) / n) * (n * dxhat - sum_d - xhat * sum_dx)
 
-    def params(self) -> list[Param]:
+    def parameters(self) -> list[Param]:
         return [self.gamma, self.beta]
 
+    def state(self) -> list[np.ndarray]:
+        # running statistics, so a loaded model can run inference untrained
+        return super().state() + [self.running_mean, self.running_var]
 
-class ReLU:
-    def __init__(self):
-        self._cache = None
 
+class ReLU(Layer):
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         mask = x > 0
         self._cache = mask if training else None
@@ -152,17 +180,13 @@ class ReLU:
     def backward(self, grad: np.ndarray) -> np.ndarray:
         return np.where(self._cache, grad, 0.0)
 
-    def params(self) -> list[Param]:
-        return []
 
-
-class MaxPool2d:
+class MaxPool2d(Layer):
     """Non-overlapping max pooling (stride equals the kernel); trailing rows
     and columns that do not fill a window are dropped (floor output sizes)."""
 
     def __init__(self, kernel: int = 2):
         self.kernel = kernel
-        self._cache = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         k = self.kernel
@@ -172,7 +196,8 @@ class MaxPool2d:
             raise ValueError(f"pooling window {k} does not fit input {h}x{w}")
         # an elementwise maximum over the taps is an order of magnitude faster
         # than a reduction over two length-k axes of a reshaped view
-        taps = _taps(x, k, k, k, k, oh, ow)
+        windows = _windows(x, k, k, k, k)
+        taps = [windows[:, :, i, j] for i, j in np.ndindex(k, k)]
         # backward routes each gradient to the window's first argmax, which
         # holds this maximum
         self._cache = (np.stack(taps, axis=-1).argmax(axis=-1), x.shape) if training else None
@@ -185,18 +210,13 @@ class MaxPool2d:
         idx, shape = self._cache
         k = self.kernel
         dx = np.zeros(shape, dtype=grad.dtype)
-        for t, tap in enumerate(_taps(dx, k, k, k, k, *idx.shape[2:])):
-            tap[...] = np.where(idx == t, grad, 0.0)
+        windows = _windows(dx, k, k, k, k)
+        for t, (i, j) in enumerate(np.ndindex(k, k)):
+            windows[:, :, i, j] = np.where(idx == t, grad, 0.0)
         return dx
 
-    def params(self) -> list[Param]:
-        return []
 
-
-class Flatten:
-    def __init__(self):
-        self._cache = None
-
+class Flatten(Layer):
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         self._cache = x.shape if training else None
         return x.reshape(x.shape[0], -1)
@@ -204,17 +224,13 @@ class Flatten:
     def backward(self, grad: np.ndarray) -> np.ndarray:
         return grad.reshape(self._cache)
 
-    def params(self) -> list[Param]:
-        return []
 
-
-class Linear:
+class Linear(Layer):
     def __init__(self, in_features: int, out_features: int,
                  rng: np.random.Generator, dtype=np.float64):
         self.in_features, self.out_features = in_features, out_features
         self.w = Param(_kaiming_uniform(rng, (in_features, out_features), in_features, dtype))
         self.b = Param(np.zeros(out_features, dtype=dtype))
-        self._cache = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         self._cache = x if training else None
@@ -225,56 +241,40 @@ class Linear:
         self.b.grad = grad.sum(axis=0)
         return grad @ self.w.data.T
 
-    def params(self) -> list[Param]:
+    def parameters(self) -> list[Param]:
         return [self.w, self.b]
 
 
-class ResidualBlock:
+class ResidualBlock(Layer):
     """conv3x3(s) -> BN -> ReLU -> conv3x3(1) -> BN, added to the shortcut,
-    then ReLU.  Stride 1 keeps an identity shortcut; a strided block projects
-    it through a 1x1 convolution plus BN."""
+    then ReLU.  Stride 1 keeps an identity shortcut (an empty chain); a
+    strided block projects it through a 1x1 convolution plus BN.  Parameters
+    and checkpoint arrays run through the main path, then the shortcut."""
 
     def __init__(self, channels: int, stride: int, rng: np.random.Generator,
                  dtype=np.float64):
         self.conv1 = Conv2d(channels, channels, (3, 3), (stride, stride), (1, 1), rng, dtype)
-        self.bn1 = BatchNorm2d(channels, dtype=dtype)
-        self.relu1 = ReLU()
         self.conv2 = Conv2d(channels, channels, (3, 3), (1, 1), (1, 1), rng, dtype)
-        self.bn2 = BatchNorm2d(channels, dtype=dtype)
-        self.relu_out = ReLU()
-        # the layers holding parameters, in parameter and checkpoint order
-        self.sublayers = [self.conv1, self.bn1, self.conv2, self.bn2]
-        self.shortcut_conv = self.shortcut_bn = None
+        self.main = Chain([self.conv1, BatchNorm2d(channels, dtype=dtype), ReLU(),
+                           self.conv2, BatchNorm2d(channels, dtype=dtype)])
+        self.shortcut_conv = None
+        self.shortcut = Chain()
         if stride != 1:
             self.shortcut_conv = Conv2d(channels, channels, (1, 1), (stride, stride), (0, 0),
                                         rng, dtype)
-            self.shortcut_bn = BatchNorm2d(channels, dtype=dtype)
-            self.sublayers += [self.shortcut_conv, self.shortcut_bn]
+            self.shortcut = Chain([self.shortcut_conv, BatchNorm2d(channels, dtype=dtype)])
+        self.relu_out = ReLU()
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        main = self.conv1.forward(x, training)
-        main = self.bn1.forward(main, training)
-        main = self.relu1.forward(main, training)
-        main = self.conv2.forward(main, training)
-        main = self.bn2.forward(main, training)
-        if self.shortcut_conv is None:
-            shortcut = x
-        else:
-            shortcut = self.shortcut_bn.forward(self.shortcut_conv.forward(x, training), training)
-        return self.relu_out.forward(main + shortcut, training)
+        out = self.main.forward(x, training) + self.shortcut.forward(x, training)
+        return self.relu_out.forward(out, training)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         g = self.relu_out.backward(grad)
-        gm = self.bn2.backward(g)
-        gm = self.conv2.backward(gm)
-        gm = self.relu1.backward(gm)
-        gm = self.bn1.backward(gm)
-        gm = self.conv1.backward(gm)
-        if self.shortcut_conv is None:
-            gs = g
-        else:
-            gs = self.shortcut_conv.backward(self.shortcut_bn.backward(g))
-        return gm + gs
+        return self.main.backward(g) + self.shortcut.backward(g)
 
-    def params(self) -> list[Param]:
-        return [p for layer in self.sublayers for p in layer.params()]
+    def parameters(self) -> list[Param]:
+        return self.main.parameters() + self.shortcut.parameters()
+
+    def state(self) -> list[np.ndarray]:
+        return self.main.state() + self.shortcut.state()

@@ -20,11 +20,11 @@ import numpy as np
 from ..seeds import mix_seeds
 from .layers import (
     BatchNorm2d,
+    Chain,
     Conv2d,
     Flatten,
     Linear,
     MaxPool2d,
-    Param,
     ReLU,
     ResidualBlock,
     conv_output_size,
@@ -92,8 +92,9 @@ def shape_chain(frame_height: int, frame_width: int, class_count: int) -> list[t
     return chain
 
 
-class RcnnModel:
-    """The fixed residual CNN, parameterized by input frame size and K."""
+class RcnnModel(Chain):
+    """The fixed residual CNN, parameterized by input frame size and K; its
+    parameters and checkpoint arrays run in layer order."""
 
     def __init__(self, frame_height: int, frame_width: int, class_count: int,
                  seed: int = 0, dtype=np.float64):
@@ -104,7 +105,7 @@ class RcnnModel:
         self.dtype = np.dtype(dtype)
         self.feature_count = chain[-2][1][0]
         rng = np.random.default_rng(mix_seeds(seed, 0x6D6F64656C))
-        self.layers = []
+        super().__init__()
         c_in = 1
         for _, kind, c_out, stride, padding in _STAGES:
             if kind == "conv":
@@ -128,21 +129,7 @@ class RcnnModel:
                 f"frame size {batch.shape[2]}x{batch.shape[3]} does not match the "
                 f"model's {self.frame_height}x{self.frame_width}"
             )
-        out = batch.astype(self.dtype, copy=False)
-        for layer in self.layers:
-            out = layer.forward(out, training)
-        return out
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
-        return grad
-
-    def parameters(self) -> list[Param]:
-        out: list[Param] = []
-        for layer in self.layers:
-            out.extend(layer.params())
-        return out
+        return super().forward(batch.astype(self.dtype, copy=False), training)
 
     def predict(self, batch: np.ndarray) -> np.ndarray:
         """Class indices: softmax then argmax, at most _PREDICT_VALUES input
@@ -166,27 +153,13 @@ def _layer_record(layer) -> tuple[int, ...]:
     if isinstance(layer, MaxPool2d):
         k = layer.kernel
         return (4, k, k, k, k, 0, 0, 0)
-    if isinstance(layer, ResidualBlock):
-        conv = layer.conv1
-        return (5, *conv.kernel, *conv.stride, *conv.padding, conv.c_out)
+    if isinstance(layer, ResidualBlock):  # its first convolution's fields
+        return (5, *_layer_record(layer.conv1)[1:])
     if isinstance(layer, Flatten):
         return (6, 0, 0, 0, 0, 0, 0, 0)
     if isinstance(layer, Linear):
         return (7, 0, 0, 0, 0, 0, 0, layer.out_features)
     raise TypeError(f"unserializable layer {type(layer).__name__}")  # pragma: no cover
-
-
-def _state_arrays(model: RcnnModel) -> list[np.ndarray]:
-    """Every persisted array in checkpoint order: each layer's parameters,
-    then, for BatchNorm, its running statistics, so a loaded model can run
-    inference without retraining."""
-    arrays: list[np.ndarray] = []
-    for layer in model.layers:
-        for sub in layer.sublayers if isinstance(layer, ResidualBlock) else [layer]:
-            arrays += [p.data for p in sub.params()]
-            if isinstance(sub, BatchNorm2d):
-                arrays += [sub.running_mean, sub.running_var]
-    return arrays
 
 
 def save_model(model: RcnnModel, path) -> None:
@@ -196,7 +169,7 @@ def save_model(model: RcnnModel, path) -> None:
                          model.class_count, len(model.layers))
     for layer in model.layers:
         blob += _LAYER_REC.pack(*_layer_record(layer))
-    for arr in _state_arrays(model):
+    for arr in model.state():
         blob += np.ascontiguousarray(arr, dtype="<f4").tobytes()
     with open(path, "wb") as fh:
         fh.write(bytes(blob))
@@ -231,12 +204,14 @@ def load_model(path, dtype=np.float64) -> RcnnModel:
     model = RcnnModel(height, width, class_count, dtype=dtype)
     if table != [_layer_record(layer) for layer in model.layers]:
         raise ValueError("checkpoint layer table does not match the fixed architecture")
-    for target in _state_arrays(model):
+    for target in model.state():
         end = offset + 4 * target.size
         if end > len(raw):
             raise ValueError("checkpoint truncated inside the parameter block")
         target[...] = np.frombuffer(raw, dtype="<f4", count=target.size,
                                     offset=offset).reshape(target.shape)
+        if not np.isfinite(target).all():
+            raise ValueError("checkpoint holds a non-finite parameter or running statistic")
         offset = end
     if offset != len(raw):
         raise ValueError("trailing bytes after the parameter block")

@@ -67,7 +67,7 @@ def _check_layer(layer, x: np.ndarray, rng: np.random.Generator) -> float:
         return float((layer.forward(x, training=True) * upstream).sum())
 
     worst = rel_err(gx, numeric_grad(objective, x))
-    for param in layer.params():
+    for param in layer.parameters():
         grad = param.grad.copy()
         worst = max(worst, rel_err(grad, numeric_grad(objective, param.data)))
     return worst

@@ -1,4 +1,4 @@
-"""Codebook construction, text round trips, phase mapping and line flips."""
+"""Codebook construction, text layout, phase mapping and line flips."""
 import math
 
 import numpy as np
@@ -53,23 +53,15 @@ class TestTextFormat:
         n = rows * cols
         bits = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n), label="bits")
         cb = Codebook(np.array(bits, dtype=np.uint8).reshape(rows, cols))
-        assert Codebook.from_text(cb.to_text()) == cb
+        text = cb.to_text()
+        assert text.endswith("\n")
+        # one line per row, one '0'/'1' character per column
+        grid = [[int(ch) for ch in line] for line in text.splitlines()]
+        assert np.array_equal(np.array(grid, dtype=np.uint8), cb.grid)
 
     def test_text_layout(self):
         cb = Codebook(np.array([[0, 1], [1, 1]]))
         assert cb.to_text() == "01\n11\n"
-
-    def test_ragged_lines_rejected(self):
-        with pytest.raises(ValueError):
-            Codebook.from_text("01\n011\n")
-
-    def test_bad_characters_rejected(self):
-        with pytest.raises(ValueError):
-            Codebook.from_text("0x\n01\n")
-
-    def test_empty_text_rejected(self):
-        with pytest.raises(ValueError):
-            Codebook.from_text("\n\n")
 
 
 class TestPhaseMatrix:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trgr.rcnn.layers import _im2col, conv_output_size
+from trgr.rcnn.layers import Conv2d, conv_output_size
 from trgr.rcnn.model import RcnnModel, shape_chain
 
 FULL_SCALE_CHAIN = [
@@ -38,30 +38,34 @@ class TestConvOutputSize:
             conv_output_size(2, 3, 2, 0)
 
 
-def im2col_by_taps(xp, kh, kw, sh, sw, oh, ow):
-    """Reference im2col: one strided slice of the padded input per kernel tap."""
-    cols = np.empty((*xp.shape[:2], kh, kw, oh, ow), dtype=xp.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw]
-    return cols
-
-
-class TestIm2col:
+class TestConvForward:
     @settings(max_examples=200, deadline=None)
-    @given(b=st.integers(1, 3), c=st.integers(1, 3), kh=st.integers(1, 3), kw=st.integers(1, 3),
-           sh=st.integers(1, 2), sw=st.integers(1, 2), ph=st.integers(0, 1), pw=st.integers(0, 1),
-           extra_h=st.integers(0, 5), extra_w=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
-    def test_window_view_equals_per_tap_slices(self, b, c, kh, kw, sh, sw, ph, pw,
-                                               extra_h, extra_w, seed):
+    @given(b=st.integers(1, 3), c_in=st.integers(1, 3), c_out=st.integers(1, 3),
+           kh=st.integers(1, 3), kw=st.integers(1, 3), sh=st.integers(1, 2), sw=st.integers(1, 2),
+           ph=st.integers(0, 1), pw=st.integers(0, 1), extra_h=st.integers(0, 5),
+           extra_w=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+    def test_forward_is_the_cross_correlation(self, b, c_in, c_out, kh, kw, sh, sw, ph, pw,
+                                              extra_h, extra_w, seed):
         # the smallest input whose padded size fits one kernel, plus extra rows/columns
         h, w = max(1, kh - 2 * ph) + extra_h, max(1, kw - 2 * pw) + extra_w
-        x = np.random.default_rng(seed).standard_normal((b, c, h, w))
+        rng = np.random.default_rng(seed)
+        conv = Conv2d(c_in, c_out, (kh, kw), (sh, sw), (ph, pw), rng)
+        conv.b.data = rng.standard_normal(c_out)
+        x = rng.standard_normal((b, c_in, h, w))
+        out = conv.forward(x)
+
+        # the definition, one output pixel at a time:
+        # out[n, o, y, x] = b[o] + sum over c, i, j of w[o, c, i, j] * xp[n, c, sh*y + i, sw*x + j]
         xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
         oh, ow = conv_output_size(h, kh, sh, ph), conv_output_size(w, kw, sw, pw)
-        cols = _im2col(xp, kh, kw, sh, sw)
-        assert cols.shape == (b, c, kh, kw, oh, ow)
-        assert np.array_equal(cols, im2col_by_taps(xp, kh, kw, sh, sw, oh, ow))
+        expected = np.empty((b, c_out, oh, ow))
+        for y in range(oh):
+            for xx in range(ow):
+                window = xp[:, :, sh * y:sh * y + kh, sw * xx:sw * xx + kw]
+                expected[:, :, y, xx] = np.einsum("ncij,ocij->no", window, conv.w.data) + conv.b.data
+        assert out.shape == (b, c_out, oh, ow)
+        assert np.allclose(out, expected, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(conv.forward(x, training=True), out)
 
 
 class TestShapeChain:

@@ -391,7 +391,10 @@ def backward_state(model: RcnnModel) -> list:
     ResidualBlock included."""
     layers = []
     for layer in model.layers:
-        layers += vars(layer).values() if isinstance(layer, ResidualBlock) else [layer]
+        if isinstance(layer, ResidualBlock):
+            layers += [*layer.main.layers, *layer.shortcut.layers, layer.relu_out]
+        else:
+            layers.append(layer)
     return [layer._cache for layer in layers if isinstance(layer, STATEFUL)]
 
 
