@@ -70,9 +70,9 @@ class RisChannel:
     __slots__ = ("tx_to_ris", "ris_to_rx", "path_delays")
 
     def __init__(self, tx_to_ris, ris_to_rx, path_delays):
-        h_in = np.asarray(tx_to_ris, dtype=np.complex128)
-        h_out = np.asarray(ris_to_rx, dtype=np.complex128)
-        delays = np.asarray(path_delays, dtype=np.float64)
+        h_in = np.array(tx_to_ris, dtype=np.complex128)
+        h_out = np.array(ris_to_rx, dtype=np.complex128)
+        delays = np.array(path_delays, dtype=np.float64)
         if not (h_in.shape == h_out.shape == delays.shape) or h_in.ndim != 1:
             raise ValueError(
                 f"tx_to_ris, ris_to_rx and path_delays must be 1-D with equal length, got "

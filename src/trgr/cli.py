@@ -8,10 +8,12 @@ Subcommands:
     evaluate   score a saved checkpoint on a dataset
     ablate     train on both datasets and report the accuracy delta
 
-Every command is driven by one JSON config (`config.DEFAULTS` is its schema),
-writes its artifacts plus a manifest under the output directory (created with
-the first artifact), and exits 0 only when all outputs were written and the
-internal audits passed.
+Every command but `shapes` takes (config, args) and returns each file it read
+or wrote, by name.  `main` is the one frame around it: it resolves the JSON
+config (`config.DEFAULTS` is its schema), times the command and writes
+`manifest_<command>.json` over those files, so a command that fails writes no
+manifest.  Artifacts go under the output directory, which the first artifact
+creates; exit 0 means all outputs were written and the internal audits passed.
 """
 from __future__ import annotations
 
@@ -40,23 +42,18 @@ from .rcnn.training import evaluate, recordings_to_arrays, train, write_training
 from .ris import BRUTE_FORCE_MAX_BITS, brute_force, optimize, snr_probe
 
 
-def _load_cfg(args) -> ExperimentConfig:
-    if args.config is not None:
-        return load_config(args.config, args.seed, args.output)
-    return resolve_config({}, args.seed, args.output)
-
-
-def _output_dir(cfg: ExperimentConfig) -> Path:
-    """The output directory, created by the first artifact a command writes,
-    so a command that fails on its inputs leaves nothing behind."""
+def _output(cfg: ExperimentConfig, name: str) -> Path:
+    """The artifact `name` under the output directory, which the first artifact
+    creates, so a command that fails on its inputs leaves nothing behind."""
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    return cfg.output_dir
+    return cfg.output_dir / name
 
 
-def _save_manifest(command: str, cfg: ExperimentConfig, artifacts: dict[str, Path],
-                    t0: float) -> None:
-    manifest = build_manifest(command, cfg, artifacts, {"total": time.perf_counter() - t0})
-    write_json(cfg.output_dir / f"manifest_{command}.json", manifest)
+def _existing(path, what: str) -> Path:
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"{what} not found: {path}")
+    return path
 
 
 def _percent(x: float) -> float:
@@ -89,9 +86,7 @@ def _search(cfg: ExperimentConfig):
     return probe, trace
 
 
-def cmd_optimize(args) -> int:
-    cfg = _load_cfg(args)
-    t0 = time.perf_counter()
+def cmd_optimize(cfg: ExperimentConfig, args) -> dict[str, Path]:
     probe, trace = _search(cfg)
     scenario = cfg.scenario
     rho_initial = snr(scenario.ris, Codebook.zeros(cfg.ris_rows, cfg.ris_cols), scenario.noise)
@@ -101,50 +96,40 @@ def cmd_optimize(args) -> int:
         "outer_iters": cfg.outer_iters,
         "snr_initial": rho_initial,
         "snr_optimized": rho_optimized,
-        "gain_db": (10.0 * math.log10(rho_optimized / rho_initial)
-                    if rho_initial > 0 else None),
+        "gain_db": 10.0 * math.log10(rho_optimized / rho_initial),
         "accepted_flips": len(trace.accepted_strengths()),
     }
+    print(f"snr initial {rho_initial:.6g}  optimized {rho_optimized:.6g}  "
+          f"gain {report['gain_db']:.2f} dB")
     if scenario.ris.n_elements <= BRUTE_FORCE_MAX_BITS:
         # the oracle reads its own fresh stream from the same probe settings
         _, best = brute_force(probe, cfg.ris_rows, cfg.ris_cols)
         report["brute_force_strength"] = best
         report["gap_to_brute_force"] = best - trace.best_strength
-    out = _output_dir(cfg)
-    codebook_path = out / "codebook.txt"
-    trace_path = out / "trace.csv"
-    report_path = out / "snr_report.json"
-    codebook_path.write_text(trace.best_codebook.to_text())
-    trace.to_csv(trace_path)
-    write_json(report_path, report)
-    _save_manifest("optimize", cfg, {
-        "codebook": codebook_path, "trace": trace_path, "snr_report": report_path,
-    }, t0)
-    gain = report["gain_db"]
-    print(f"snr initial {rho_initial:.6g}  optimized {rho_optimized:.6g}"
-          + (f"  gain {gain:.2f} dB" if gain is not None else "  gain n/a"))
-    if "brute_force_strength" in report:
-        print(f"brute force strength {report['brute_force_strength']:.6g}  "
-              f"gap {report['gap_to_brute_force']:.3g}")
-    return 0
+        print(f"brute force strength {best:.6g}  gap {report['gap_to_brute_force']:.3g}")
+    paths = {"codebook": _output(cfg, "codebook.txt"), "trace": _output(cfg, "trace.csv"),
+             "snr_report": _output(cfg, "snr_report.json")}
+    paths["codebook"].write_text(trace.best_codebook.to_text())
+    trace.to_csv(paths["trace"])
+    write_json(paths["snr_report"], report)
+    return paths
 
 
-def _dataset_paths(cfg: ExperimentConfig) -> dict[str, Path]:
-    return {
-        "ris_on": cfg.output_dir / "dataset_ris_on.bin",
-        "ris_off": cfg.output_dir / "dataset_ris_off.bin",
-    }
+def _dataset(cfg: ExperimentConfig, name: str, given: str | None) -> Path:
+    """The dataset file `given`, which must exist, or else the default for `name`."""
+    return _existing(given, "dataset") if given else cfg.output_dir / f"dataset_{name}.bin"
 
 
-def _generate_datasets(cfg: ExperimentConfig, paths: dict[str, Path]) -> None:
-    """Render and save each named dataset (ris_on, ris_off) to its path."""
+def _generate_datasets(cfg: ExperimentConfig, names) -> dict[str, Path]:
+    """Render and save each named dataset (ris_on, ris_off) to its default path."""
     # reject a config whose datasets could not be split or trained on before
     # spending the optimizer and render time on it
     shape_chain(cfg.scenario.packet_count, cfg.scenario.grid.count, len(cfg.profiles))
     if cfg.episodes_per_subject < 3:
         raise ValueError(f"episodes_per_subject is {cfg.episodes_per_subject}, "
                          "need at least 3 to split each subject")
-    for name, path in paths.items():
+    paths = {}
+    for name in names:
         if name == "ris_on":
             scenario, codebook = cfg.scenario, _search(cfg)[1].best_codebook
         else:  # the same room with the surface removed needs no codebook
@@ -152,32 +137,27 @@ def _generate_datasets(cfg: ExperimentConfig, paths: dict[str, Path]) -> None:
             codebook = Codebook.zeros(0, 0)
         recordings = generate_dataset(cfg.profiles, scenario, codebook,
                                       cfg.episodes_per_subject, cfg.dataset_seed)
-        _output_dir(cfg)
-        save_dataset(path, recordings)
+        paths[name] = _output(cfg, f"dataset_{name}.bin")
+        save_dataset(paths[name], recordings)
         del recordings  # freed before the next dataset renders
+    return paths
 
 
-def cmd_generate(args) -> int:
-    cfg = _load_cfg(args)
-    t0 = time.perf_counter()
-    paths = _dataset_paths(cfg)
-    _generate_datasets(cfg, paths)
-    _save_manifest("generate", cfg, paths, t0)
+def cmd_generate(cfg: ExperimentConfig, args) -> dict[str, Path]:
+    paths = _generate_datasets(cfg, ("ris_on", "ris_off"))
     count = len(cfg.profiles) * cfg.episodes_per_subject
-    t = cfg.scenario.packet_count
-    s = cfg.scenario.grid.count
+    t, s = cfg.scenario.packet_count, cfg.scenario.grid.count
     for name, path in paths.items():
         print(f"{name}: {count} recordings of {t}x{s} -> {path}")
-    return 0
+    return paths
 
 
 def _prepared_split(cfg: ExperimentConfig, dataset_path: Path):
     """The dataset smoothed, normalized and split: stacked (frames, labels) for
     train and for test.  The per-record lists die here, before any training."""
-    if not Path(dataset_path).exists():
-        raise FileNotFoundError(f"dataset not found: {dataset_path}")
     split = split_dataset([normalize(denoise_recording(rec, cfg.filter_spec))
-                           for rec in load_dataset(dataset_path)], cfg.split_seed)
+                           for rec in load_dataset(_existing(dataset_path, "dataset"))],
+                          cfg.split_seed)
     return recordings_to_arrays(split.train), recordings_to_arrays(split.test)
 
 
@@ -198,66 +178,44 @@ def _train_on(cfg: ExperimentConfig, dataset_path: Path):
     return (model, *train(model, train_set, test_set, cfg.train))
 
 
-def cmd_train(args) -> int:
-    cfg = _load_cfg(args)
-    dataset_path = Path(args.dataset) if args.dataset else _dataset_paths(cfg)["ris_on"]
-    t0 = time.perf_counter()
+def cmd_train(cfg: ExperimentConfig, args) -> dict[str, Path]:
+    dataset_path = _dataset(cfg, "ris_on", args.dataset)
     model, logs, metrics = _train_on(cfg, dataset_path)
-    out = _output_dir(cfg)
-    ckpt_path = out / "model.bin"
-    log_path = out / "training_log.csv"
-    metrics_path = out / "metrics.json"
-    save_model(model, ckpt_path)
-    write_training_log(logs, log_path)
+    paths = {"checkpoint": _output(cfg, "model.bin"),
+             "training_log": _output(cfg, "training_log.csv"),
+             "metrics": _output(cfg, "metrics.json")}
+    save_model(model, paths["checkpoint"])
+    write_training_log(logs, paths["training_log"])
     doc = _metrics_doc(metrics)
-    write_json(metrics_path, doc)
-    _save_manifest("train", cfg, {
-        "checkpoint": ckpt_path, "training_log": log_path, "metrics": metrics_path,
-        "dataset": dataset_path,
-    }, t0)
+    write_json(paths["metrics"], doc)
     for row in logs:
         print(f"epoch {row.epoch:3d}  loss {row.loss:.4f}  "
               f"train {100 * row.train_acc:.2f}%  test {100 * row.test_acc:.2f}%")
     _print_metrics("test:", doc)
-    return 0
+    return {**paths, "dataset": dataset_path}
 
 
-def cmd_evaluate(args) -> int:
-    cfg = _load_cfg(args)
-    dataset_path = Path(args.dataset) if args.dataset else _dataset_paths(cfg)["ris_on"]
-    model_path = Path(args.model) if args.model else cfg.output_dir / "model.bin"
-    if not model_path.exists():
-        raise FileNotFoundError(f"checkpoint not found: {model_path}")
-    t0 = time.perf_counter()
+def cmd_evaluate(cfg: ExperimentConfig, args) -> dict[str, Path]:
+    model_path = _existing(args.model or cfg.output_dir / "model.bin", "checkpoint")
+    dataset_path = _dataset(cfg, "ris_on", args.dataset)
     model = load_model(model_path)
     train_set, test_set = _prepared_split(cfg, dataset_path)
     if args.split == "all":  # train then test, the order the split lists them in
         frames, labels = (np.concatenate(pair) for pair in zip(train_set, test_set))
     else:
         frames, labels = train_set if args.split == "train" else test_set
-    metrics = evaluate(model, frames, labels)
-    doc = _metrics_doc(metrics)
-    doc["split"] = args.split
-    metrics_path = _output_dir(cfg) / "eval_metrics.json"
+    doc = {**_metrics_doc(evaluate(model, frames, labels)), "split": args.split}
+    metrics_path = _output(cfg, "eval_metrics.json")
     write_json(metrics_path, doc)
-    _save_manifest("evaluate", cfg, {
-        "metrics": metrics_path, "dataset": dataset_path, "checkpoint": model_path,
-    }, t0)
     _print_metrics(f"{args.split}:", doc)
-    return 0
+    return {"metrics": metrics_path, "dataset": dataset_path, "checkpoint": model_path}
 
 
-def cmd_ablate(args) -> int:
-    cfg = _load_cfg(args)
-    t0 = time.perf_counter()
-    paths = _dataset_paths(cfg)
-    for name, override in (("ris_on", args.ris_on), ("ris_off", args.ris_off)):
-        if override is not None:
-            paths[name] = Path(override)
-            if not paths[name].exists():
-                raise FileNotFoundError(f"dataset not found: {paths[name]}")
+def cmd_ablate(cfg: ExperimentConfig, args) -> dict[str, Path]:
+    paths = {"ris_on": _dataset(cfg, "ris_on", args.ris_on),
+             "ris_off": _dataset(cfg, "ris_off", args.ris_off)}
     # explicit datasets exist by now, so only missing defaults are made
-    missing = {name: path for name, path in paths.items() if not path.exists()}
+    missing = [name for name, path in paths.items() if not path.exists()]
     if missing:
         _generate_datasets(cfg, missing)
 
@@ -271,15 +229,13 @@ def cmd_ablate(args) -> int:
         report["ris_on"]["accuracy_pct"] - report["ris_off"]["accuracy_pct"], 2)
     print(f"accuracy delta {report['accuracy_delta_pp']:+.2f} pp (ris_on - ris_off)")
 
-    report_path = _output_dir(cfg) / "ablation_report.json"
+    report_path = _output(cfg, "ablation_report.json")
     write_json(report_path, report)
-    _save_manifest("ablate", cfg, {"ablation_report": report_path}, t0)
-    return 0
+    return {"ablation_report": report_path, **paths}
 
 
 def cmd_shapes(args) -> int:
-    chain = shape_chain(args.height, args.width, args.classes)
-    for name, shape in chain:
+    for name, shape in shape_chain(args.height, args.width, args.classes):
         print(f"{name:12s} {'x'.join(str(v) for v in shape)}")
     return 0
 
@@ -292,50 +248,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def framed(command: str, func, help: str):
+        """A config-driven subcommand, run by `main` in the command frame."""
+        p = sub.add_parser(command, help=help)
         p.add_argument("--config", help="JSON experiment config")
         p.add_argument("--seed", type=int, help="override the config's top-level seed")
         p.add_argument("--output", help="override the config's output directory")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("optimize", help="search the 1-bit codebook for maximum SNR")
-    common(p)
-    p.set_defaults(func=cmd_optimize)
-
-    p = sub.add_parser("generate", help="synthesize ris_on/ris_off CSI datasets")
-    common(p)
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("train", help="train the classifier and report test metrics")
-    common(p)
+    framed("optimize", cmd_optimize, "search the 1-bit codebook for maximum SNR")
+    framed("generate", cmd_generate, "synthesize ris_on/ris_off CSI datasets")
+    p = framed("train", cmd_train, "train the classifier and report test metrics")
     p.add_argument("--dataset", help="dataset file (default: <output>/dataset_ris_on.bin)")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("evaluate", help="score a saved checkpoint")
-    common(p)
+    p = framed("evaluate", cmd_evaluate, "score a saved checkpoint")
     p.add_argument("--dataset", help="dataset file (default: <output>/dataset_ris_on.bin)")
     p.add_argument("--model", help="checkpoint file (default: <output>/model.bin)")
     p.add_argument("--split", choices=("test", "train", "all"), default="test")
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("ablate", help="train with and without the RIS, report the delta")
-    common(p)
+    p = framed("ablate", cmd_ablate, "train with and without the RIS, report the delta")
     p.add_argument("--ris-on", help="existing ris_on dataset to reuse")
     p.add_argument("--ris-off", help="existing ris_off dataset to reuse")
-    p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("shapes", help="print the network's output size at every stage")
     p.add_argument("--height", type=int, default=150)
     p.add_argument("--width", type=int, default=8192)
     p.add_argument("--classes", type=int, default=10)
-    p.set_defaults(func=cmd_shapes)
-
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "shapes":
+            return cmd_shapes(args)
+        cfg = (load_config(args.config, args.seed, args.output) if args.config is not None
+               else resolve_config({}, args.seed, args.output))
+        t0 = time.perf_counter()
+        artifacts = args.func(cfg, args)
+        manifest = build_manifest(args.command, cfg, artifacts,
+                                  {"total": time.perf_counter() - t0})
+        write_json(_output(cfg, f"manifest_{args.command}.json"), manifest)
+        return 0
     except (ValueError, OSError, MemoryError) as exc:
         # a bare MemoryError has no message; numpy's names the allocation
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

@@ -95,6 +95,17 @@ class TestRisChannel:
     def test_empty_has_zero_elements(self):
         assert RisChannel.empty().n_elements == 0
 
+    def test_copies_the_callers_arrays(self):
+        # already of the stored dtypes, so only an explicit copy separates them
+        h_in, h_out = np.ones(3, complex), np.full(3, 2j)
+        delays = np.zeros(3)
+        ris = RisChannel(h_in, h_out, delays)
+        assert all(a.flags.writeable for a in (h_in, h_out, delays))
+        h_in[0], h_out[0], delays[0] = 5.0, 7.0, 1.0
+        assert ris.tx_to_ris.tolist() == [1.0] * 3
+        assert ris.ris_to_rx.tolist() == [2j] * 3
+        assert ris.path_delays.tolist() == [0.0] * 3
+
 
 class TestSubcarrierGrid:
     def test_single_subcarrier_sits_at_center(self):

@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import trgr.cli
 from trgr.cli import main
+from trgr.config import ExperimentConfig
 from trgr.pipeline import load_dataset
 from trgr.rcnn.model import RcnnModel, load_model, save_model
 
@@ -357,6 +359,73 @@ class TestAblate:
         assert main(["ablate", "--config", str(cfg),
                      "--ris-on", str(out / "no_such.bin")]) == 1
         assert "no_such.bin" in capsys.readouterr().err
+
+
+def _manifest_paths(out: Path, command: str) -> set[Path]:
+    """The files `manifest_<command>.json` names, each checked against its bytes."""
+    manifest = json.loads((out / f"manifest_{command}.json").read_text())
+    assert manifest["command"] == command
+    for entry in manifest["artifacts"].values():
+        data = Path(entry["path"]).read_bytes()
+        assert entry["bytes"] == len(data)
+        assert entry["sha256"] == hashlib.sha256(data).hexdigest()
+    return {Path(entry["path"]) for entry in manifest["artifacts"].values()}
+
+
+class TestCommandFrame:
+    @pytest.mark.parametrize("command", ["optimize", "generate", "train", "evaluate", "ablate"])
+    def test_manifest_names_every_file_read_or_written(self, workspace, tmp_path, command):
+        ris_on = workspace["out"] / "dataset_ris_on.bin"
+        checkpoint = tmp_path / "model_in.bin"
+        save_model(RcnnModel(150, 128, 3), checkpoint)
+        # inputs come from outside the output directory, which then holds
+        # exactly what the command wrote
+        inputs = {"optimize": [], "generate": [], "train": ["--dataset", ris_on],
+                  "evaluate": ["--dataset", ris_on, "--model", checkpoint],
+                  "ablate": ["--ris-on", ris_on]}[command]  # ablate renders ris_off
+        out = tmp_path / "run"
+        assert main([command, "--config", str(workspace["config"]), "--output", str(out),
+                     *map(str, inputs)]) == 0
+        written = set(out.iterdir()) - {out / f"manifest_{command}.json"}
+        assert written
+        assert _manifest_paths(out, command) == written | set(inputs[1::2])
+
+    @pytest.mark.parametrize("command, callee, failing_call", [
+        ("generate", "save_dataset", 2),  # after ris_on is saved
+        ("train", "write_training_log", 1),  # after the checkpoint is saved
+    ])
+    def test_failed_command_writes_no_manifest(self, workspace, tmp_path, monkeypatch, capsys,
+                                               command, callee, failing_call):
+        original = getattr(trgr.cli, callee)
+        calls = []
+
+        def fails_once_reached(*args):
+            calls.append(args)
+            if len(calls) == failing_call:
+                raise OSError("No space left on device")
+            return original(*args)
+
+        monkeypatch.setattr(f"trgr.cli.{callee}", fails_once_reached)
+        out = tmp_path / "run"
+        extra = ["--dataset", str(workspace["out"] / "dataset_ris_on.bin")] * (command == "train")
+        assert main([command, "--config", str(workspace["config"]), "--output", str(out),
+                     *extra]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "error: No space left on device"]
+        assert list(out.iterdir())  # an artifact was written before the failure
+        assert not list(out.glob("manifest_*.json"))
+
+    def test_main_runs_the_module_level_command(self, tmp_path, monkeypatch):
+        # a wrapper set on the module (as the benchmark's tracer sets one) is
+        # what the frame calls, with the resolved config
+        seen = []
+        monkeypatch.setattr("trgr.cli.cmd_generate", lambda cfg, args: seen.append(cfg) or {})
+        cfg = write_config(tmp_path, tmp_path / "run")
+        assert main(["generate", "--config", str(cfg)]) == 0
+        assert len(seen) == 1 and isinstance(seen[0], ExperimentConfig)
+        manifest = json.loads((tmp_path / "run" / "manifest_generate.json").read_text())
+        assert manifest["artifacts"] == {}
+        assert set(manifest["timings_s"]) == {"total"}
 
 
 class TestConfigErrors:
