@@ -39,10 +39,6 @@ class Codebook:
     def cols(self) -> int:
         return self.grid.shape[1]
 
-    @property
-    def size(self) -> int:
-        return self.grid.size
-
     def __eq__(self, other):
         return isinstance(other, Codebook) and np.array_equal(self.grid, other.grid)
 

@@ -11,6 +11,9 @@ Datasets travel as a little-endian binary container:
     magic "TRGR" | u16 version=1 | u32 T | u32 S | u32 record_count
     per record: u16 label (subject id) | u64 episode_seed
                 | T*S float32 magnitudes, row-major (time-major)
+
+Saving refuses magnitudes that are not finite in float32; loading rejects a
+file whose size disagrees with its header.
 """
 from __future__ import annotations
 
@@ -102,6 +105,11 @@ def save_dataset(path, recordings: list[CsiRecording]) -> None:
     for rec in recordings:
         if rec.shape != (t, s):
             raise ValueError(f"inconsistent record shape {rec.shape}, expected {(t, s)}")
+    with np.errstate(over="ignore"):  # each record's extremes decide its float32 cast
+        extremes = np.array([(rec.magnitudes.min(initial=0.0), rec.magnitudes.max(initial=0.0))
+                             for rec in recordings], dtype=np.float32)
+    if not np.isfinite(extremes).all():
+        raise ValueError("refusing to write magnitudes that are not finite in float32")
     with open(path, "wb") as f:
         f.write(_HEADER.pack(DATASET_MAGIC, DATASET_VERSION, t, s, len(recordings)))
         for rec in recordings:

@@ -6,10 +6,11 @@ a flatten, and one fully connected layer producing class logits.  Softmax is
 applied only by the loss and by `predict`.
 
 `shape_chain` walks the same stage table as the layer list to compute every
-output size for a given input frame, which doubles as the construction-time
-shape check and the `shapes` CLI command.  Checkpoints are a small binary
-format: magic, version, input geometry, a layer table, then every parameter
-and BatchNorm running statistic as float32 in layer order.
+output size for a given input frame (the construction-time shape check and
+the `shapes` command).  `_layer_table` encodes it as the checkpoint's layer
+table; a checkpoint is magic, version, input geometry, that table, then the
+state as float32 in layer order.  Loading compares the table bytes and the
+state's exact size; saving refuses a state that is not finite in float32.
 """
 from __future__ import annotations
 
@@ -35,7 +36,6 @@ CHECKPOINT_VERSION = 1
 
 _HEADER = struct.Struct("<7sHIIHH")
 _LAYER_REC = struct.Struct("<BHHHHHHH")
-_LAYER_CODES = range(1, 8)  # the kind codes _layer_record writes
 # input values `predict` scores per forward: 32 desk frames (150x256), one
 # paper-size frame (150x8192); a chunk holds at least one frame
 _PREDICT_VALUES = 32 * 150 * 256
@@ -141,38 +141,33 @@ class RcnnModel(Chain):
         ])
 
 
-def _layer_record(layer) -> tuple[int, ...]:
-    """One layer's checkpoint table entry: kind code, kernel, stride, padding,
-    output channels, with 0 for the fields the kind does not have."""
-    if isinstance(layer, Conv2d):
-        return (1, *layer.kernel, *layer.stride, *layer.padding, layer.c_out)
-    if isinstance(layer, BatchNorm2d):
-        return (2, 0, 0, 0, 0, 0, 0, layer.channels)
-    if isinstance(layer, ReLU):
-        return (3, 0, 0, 0, 0, 0, 0, 0)
-    if isinstance(layer, MaxPool2d):
-        k = layer.kernel
-        return (4, k, k, k, k, 0, 0, 0)
-    if isinstance(layer, ResidualBlock):  # its first convolution's fields
-        return (5, *_layer_record(layer.conv1)[1:])
-    if isinstance(layer, Flatten):
-        return (6, 0, 0, 0, 0, 0, 0, 0)
-    if isinstance(layer, Linear):
-        return (7, 0, 0, 0, 0, 0, 0, layer.out_features)
-    raise TypeError(f"unserializable layer {type(layer).__name__}")  # pragma: no cover
+def _layer_table(class_count: int) -> bytes:
+    """`_STAGES` as the checkpoint's layer table, one record per top-level layer:
+    kind code, kernel, stride, padding (each height then width), output
+    channels, 0 where a kind has no such field; a residual block records conv1."""
+    rows = []
+    for _, kind, c, s, p in _STAGES:
+        if kind == "conv":
+            rows += [(1, 3, 3, s, s, p, p, c), (2, 0, 0, 0, 0, 0, 0, c), (3, 0, 0, 0, 0, 0, 0, 0)]
+        elif kind == "residual":
+            rows.append((5, 3, 3, s, s, p, p, c))
+        else:
+            rows.append((4, s, s, s, s, 0, 0, 0))
+    rows += [(6, 0, 0, 0, 0, 0, 0, 0), (7, 0, 0, 0, 0, 0, 0, class_count)]
+    return b"".join(_LAYER_REC.pack(*row) for row in rows)
 
 
 def save_model(model: RcnnModel, path) -> None:
-    blob = bytearray()
-    blob += _HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
-                         model.frame_height, model.frame_width,
-                         model.class_count, len(model.layers))
-    for layer in model.layers:
-        blob += _LAYER_REC.pack(*_layer_record(layer))
-    for arr in model.state():
-        blob += np.ascontiguousarray(arr, dtype="<f4").tobytes()
+    """Write the checkpoint, refusing a state that is not finite in float32."""
+    with np.errstate(over="ignore"):
+        values = np.concatenate([a.ravel() for a in model.state()], dtype="<f4")
+    if not np.isfinite(values).all():
+        raise ValueError("refusing to save a state that is not finite in float32")
+    table = _layer_table(model.class_count)
     with open(path, "wb") as fh:
-        fh.write(bytes(blob))
+        fh.write(_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, model.frame_height,
+                              model.frame_width, model.class_count, len(table) // _LAYER_REC.size))
+        fh.write(table + values.tobytes())
 
 
 def load_model(path, dtype=np.float64) -> RcnnModel:
@@ -185,16 +180,10 @@ def load_model(path, dtype=np.float64) -> RcnnModel:
         raise ValueError(f"bad checkpoint magic {magic!r}")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
-    offset = _HEADER.size
-    table: list[tuple[int, ...]] = []
-    for _ in range(layer_count):
-        if offset + _LAYER_REC.size > len(raw):
-            raise ValueError("checkpoint truncated inside the layer table")
-        record = _LAYER_REC.unpack_from(raw, offset)
-        offset += _LAYER_REC.size
-        if record[0] not in _LAYER_CODES:
-            raise ValueError(f"unknown layer kind code {record[0]}")
-        table.append(record)
+    table = _layer_table(class_count)
+    offset = _HEADER.size + len(table)
+    if layer_count * _LAYER_REC.size != len(table) or raw[_HEADER.size:offset] != table:
+        raise ValueError("checkpoint layer table does not match the fixed architecture")
 
     # the classifier's fc_in x K weights dwarf every other array: a header
     # that claims more than the file holds must fail before they are allocated
@@ -202,17 +191,12 @@ def load_model(path, dtype=np.float64) -> RcnnModel:
     if 4 * fc_in * class_count > len(raw) - offset:
         raise ValueError("checkpoint truncated inside the parameter block")
     model = RcnnModel(height, width, class_count, dtype=dtype)
-    if table != [_layer_record(layer) for layer in model.layers]:
-        raise ValueError("checkpoint layer table does not match the fixed architecture")
-    for target in model.state():
-        end = offset + 4 * target.size
-        if end > len(raw):
-            raise ValueError("checkpoint truncated inside the parameter block")
-        target[...] = np.frombuffer(raw, dtype="<f4", count=target.size,
-                                    offset=offset).reshape(target.shape)
-        if not np.isfinite(target).all():
-            raise ValueError("checkpoint holds a non-finite parameter or running statistic")
-        offset = end
-    if offset != len(raw):
-        raise ValueError("trailing bytes after the parameter block")
+    ends = np.cumsum([a.size for a in model.state()])
+    if len(raw) - offset != 4 * ends[-1]:
+        raise ValueError(f"checkpoint has {len(raw) - offset} parameter bytes, not {4 * ends[-1]}")
+    values = np.frombuffer(raw, dtype="<f4", offset=offset)
+    if not np.isfinite(values).all():
+        raise ValueError("checkpoint holds a non-finite parameter or running statistic")
+    for target, chunk in zip(model.state(), np.split(values, ends[:-1])):
+        target[...] = chunk.reshape(target.shape)
     return model

@@ -146,6 +146,16 @@ class TestGenerate:
         assert len(err) == 1 and err[0].startswith("error:")
         assert not list(out.glob("dataset_*.bin"))
 
+    def test_magnitudes_beyond_float32_fail_before_writing(self, tmp_path, capsys):
+        # noise this loud renders finite float64 magnitudes that overflow the
+        # dataset's float32, and train would refuse the infinities
+        out = tmp_path / "loud"
+        cfg = write_config(tmp_path, out, scenario={"noise_variance": 1e80})
+        assert main(["generate", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "error: refusing to write magnitudes that are not finite in float32"]
+        assert not list(out.glob("*"))
+
     def test_generate_runs_no_oracle(self, tmp_path, monkeypatch):
         # the exhaustive oracle belongs to the optimize report, not the datasets
         monkeypatch.setattr("trgr.cli.brute_force", _forbidden("brute_force"))
@@ -261,6 +271,18 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "ghost.bin" in err
 
+    def test_state_beyond_float32_fails_before_the_checkpoint(self, workspace, tmp_path,
+                                                              capsys):
+        # a huge step drives the weights past float32's range, and evaluate
+        # would refuse a checkpoint holding the infinities
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, out, train={"learning_rate": 1e12})
+        assert main(["train", "--config", str(cfg),
+                     "--dataset", str(workspace["out"] / "dataset_ris_on.bin")]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "error: refusing to save a state that is not finite in float32"]
+        assert not (out / "model.bin").exists()
+        assert not list(out.glob("manifest_*.json"))
 
     def test_damaged_dataset_fails_with_one_line_error(self, workspace, tmp_path, capsys):
         data = (workspace["out"] / "dataset_ris_on.bin").read_bytes()

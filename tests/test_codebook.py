@@ -15,7 +15,7 @@ SEEDED_GRID = np.random.default_rng(8).integers(0, 2, (5, 4), dtype=np.uint8)
 class TestConstruction:
     def test_zero_by_zero_allowed(self):
         cb = Codebook.zeros(0, 0)
-        assert cb.size == 0
+        assert cb.grid.size == 0
 
     def test_non_binary_entries_rejected(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -244,6 +244,31 @@ class TestDatasetContainer:
         recs = [rec_of(np.ones((2, 2))), rec_of(np.ones((3, 2)))]
         with pytest.raises(ValueError):
             save_dataset(tmp_path / "m.bin", recs)
+
+    # float32's largest value plus half its last step: the first float64 that
+    # the cast rounds to infinity
+    F32_LIMIT = float(np.finfo(np.float32).max) + 2.0 ** 103
+
+    @settings(max_examples=40, deadline=None)
+    @given(peak=st.floats(3.4e38, 3.5e38), sign=st.sampled_from([1.0, -1.0]))
+    @example(peak=F32_LIMIT, sign=1.0)
+    @example(peak=np.nextafter(F32_LIMIT, 0.0), sign=-1.0)
+    def test_refuses_exactly_what_float32_cannot_hold(self, peak, sign):
+        recs = self.make_set()
+        mags = recs[-1].magnitudes.copy()
+        mags[2, 1] = sign * peak
+        recs[-1] = CsiRecording(mags, label=1, episode_seed=7)
+        with np.errstate(over="ignore"):
+            fits = np.isfinite(mags.astype(np.float32)).all()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "o.bin"
+            if fits:
+                save_dataset(path, recs)
+                assert load_dataset(path)[-1].magnitudes[2, 1] == np.float32(sign * peak)
+            else:
+                with pytest.raises(ValueError, match="not finite in float32"):
+                    save_dataset(path, recs)
+                assert not path.exists()
 
     def test_byte_identical_rewrites(self, tmp_path):
         recs = self.make_set()

@@ -358,16 +358,34 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             load_model(path)
 
-    def test_corrupt_layer_kind_rejected(self, tmp_path):
-        path = tmp_path / "c.bin"
-        save_model(self.make_model(), path)
-        data = bytearray(path.read_bytes())
-        # 8 was a softmax code that no model ever wrote
-        for code in (0xEE, 8):
-            data[21] = code  # first layer record's kind code, after the 21-byte header
+    @settings(max_examples=60, deadline=None)
+    @given(at=st.integers(19, 21 + 19 * 15 - 1), flip=st.integers(1, 255))
+    @example(at=21, flip=1 ^ 0xEE)  # the first record's kind code becomes 0xEE
+    @example(at=21, flip=1 ^ 8)     # ... or 8, a softmax code no model ever wrote
+    @example(at=19, flip=1)         # layer_count 19 -> 18
+    def test_changed_layer_table_byte_rejected(self, at, flip):
+        # any byte of the header's u16 layer_count (offset 19) or of the 19
+        # 15-byte records after the 21-byte header
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.bin"
+            save_model(RcnnModel(H, W, 3, seed=11), path)
+            data = bytearray(path.read_bytes())
+            data[at] ^= flip
             path.write_bytes(bytes(data))
-            with pytest.raises(ValueError, match=f"unknown layer kind code {code}"):
+            with pytest.raises(ValueError, match="layer table does not match the fixed architecture"):
                 load_model(path)
+
+    @pytest.mark.parametrize("value", [1e39, -1e39, np.inf, np.nan])
+    @pytest.mark.parametrize("array", ["classifier bias", "running variance"])
+    def test_state_not_finite_in_float32_is_not_saved(self, tmp_path, value, array):
+        # 1e39 is finite in float64 but overflows the checkpoint's float32
+        model = self.make_model()
+        target = model.layers[-1].b.data if array == "classifier bias" else model.layers[1].running_var
+        target[0] = value
+        path = tmp_path / "m.bin"
+        with pytest.raises(ValueError, match="not finite in float32"):
+            save_model(model, path)
+        assert not path.exists()
 
 
 class TestResidualIdentity:

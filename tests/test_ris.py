@@ -59,7 +59,7 @@ class TestProbe:
             ObjectiveProbe(lambda cb: 0.0, measurement_noise_std=-0.1)
 
     def test_noiseless_reader_is_exact(self):
-        probe = ObjectiveProbe(lambda cb: float(cb.size))
+        probe = ObjectiveProbe(lambda cb: float(cb.grid.size))
         read = probe.reader()
         assert read(Codebook.zeros(2, 3)) == 6.0
 
