@@ -13,7 +13,8 @@ or wrote, by name.  `main` is the one frame around it: it resolves the JSON
 config (`config.DEFAULTS` is its schema), times the command and writes
 `manifest_<command>.json` over those files, so a command that fails writes no
 manifest.  Artifacts go under the output directory, which the first artifact
-creates; exit 0 means all outputs were written and the internal audits passed.
+creates and `main` removes again if the command then fails and leaves it
+empty; exit 0 means all outputs were written and the internal audits passed.
 """
 from __future__ import annotations
 
@@ -276,13 +277,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _remove_empty(directories: list[Path]) -> None:
+    """Remove each directory, innermost first, while it exists and is empty."""
+    for directory in directories:
+        if not directory.is_dir() or any(directory.iterdir()):
+            return
+        directory.rmdir()
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    made: list[Path] = []  # the directories a failed command may leave empty
     try:
         if args.command == "shapes":
             return cmd_shapes(args)
         cfg = (load_config(args.config, args.seed, args.output) if args.config is not None
                else resolve_config({}, args.seed, args.output))
+        made = [d for d in (cfg.output_dir, *cfg.output_dir.parents) if not d.exists()]
         t0 = time.perf_counter()
         artifacts = args.func(cfg, args)
         manifest = build_manifest(args.command, cfg, artifacts,
@@ -290,6 +301,7 @@ def main(argv=None) -> int:
         write_json(_output(cfg, f"manifest_{args.command}.json"), manifest)
         return 0
     except (ValueError, OSError, MemoryError) as exc:
+        _remove_empty(made)
         # a bare MemoryError has no message; numpy's names the allocation
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1

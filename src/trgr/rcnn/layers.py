@@ -7,6 +7,10 @@ the arrays a checkpoint persists.  `Chain` is the one walk over a layer
 sequence, and `_windows` the one window helper, serving the convolution forward
 and backward and both pooling passes.  Convolutions use the cross-correlation
 convention with output size floor((H + 2p - k) / s) + 1.
+
+`TEMP_BYTES` caps the scratch of inference: an eval convolution runs its
+im2col GEMM one block of output rows at a time, and `RcnnModel.predict` sizes
+its chunks by it.
 """
 from __future__ import annotations
 
@@ -16,6 +20,10 @@ import numpy as np
 
 BN_EPS = 1e-5       # BatchNorm variance floor
 BN_MOMENTUM = 0.1   # BatchNorm running-statistics update weight
+# bytes of one eval convolution's column block and of the widest activation
+# of a `predict` chunk: glibc maps every array past 32 MiB afresh, so each
+# call page-faults it in and unmaps it again
+TEMP_BYTES = 4 << 20
 
 
 class Param:
@@ -103,11 +111,18 @@ class Conv2d(Layer):
         oh = conv_output_size(h, kh, sh, ph)
         ow = conv_output_size(w, kw, sw, pw)
         xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x
-        cols_mat = _windows(xp, kh, kw, sh, sw).reshape(b, c * kh * kw, oh * ow)
-        out = self.w.data.reshape(self.c_out, -1) @ cols_mat
-        out = out.reshape(b, self.c_out, oh, ow) + self.b.data.reshape(1, -1, 1, 1)
+        windows = _windows(xp, kh, kw, sh, sw)
+        weights = self.w.data.reshape(self.c_out, -1)
+        out = np.empty((b, self.c_out, oh * ow), dtype=np.result_type(weights, xp))
+        # the backward reads a training forward's columns, so it builds them in
+        # one block; an eval forward builds at most TEMP_BYTES of them at a time
+        rows = oh if training else max(1, TEMP_BYTES // (b * c * kh * kw * ow * xp.itemsize))
+        for y in range(0, oh, rows):
+            cols_mat = windows[..., y:y + rows, :].reshape(b, c * kh * kw, -1)
+            np.matmul(weights, cols_mat, out=out[..., y * ow:(y + rows) * ow])
+        out += self.b.data.reshape(1, -1, 1)
         self._cache = (cols_mat, xp.shape) if training else None
-        return out
+        return out.reshape(b, self.c_out, oh, ow)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         cols_mat, padded_shape = self._cache
@@ -155,13 +170,20 @@ class BatchNorm2d(Layer):
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         xhat, inv_std = self._cache
-        self.gamma.grad = (grad * xhat).sum(axis=(0, 2, 3))
+        # (inv_std / n) * (n * dxhat - sum_d - xhat * sum_dx) in two full-size
+        # arrays; each product keeps or swaps its operands, so the bits hold
+        prod = np.multiply(grad, xhat)
+        self.gamma.grad = prod.sum(axis=(0, 2, 3))
         self.beta.grad = grad.sum(axis=(0, 2, 3))
         dxhat = grad * self.gamma.data.reshape(1, -1, 1, 1)
         n = grad.shape[0] * grad.shape[2] * grad.shape[3]
         sum_d = dxhat.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1)
-        sum_dx = (dxhat * xhat).sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1)
-        return (inv_std.reshape(1, -1, 1, 1) / n) * (n * dxhat - sum_d - xhat * sum_dx)
+        sum_dx = np.multiply(dxhat, xhat, out=prod).sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1)
+        dxhat *= n
+        dxhat -= sum_d
+        dxhat -= np.multiply(xhat, sum_dx, out=prod)
+        dxhat *= inv_std.reshape(1, -1, 1, 1) / n
+        return dxhat
 
     def parameters(self) -> list[Param]:
         return [self.gamma, self.beta]
@@ -248,8 +270,10 @@ class Linear(Layer):
 class ResidualBlock(Layer):
     """conv3x3(s) -> BN -> ReLU -> conv3x3(1) -> BN, added to the shortcut,
     then ReLU.  Stride 1 keeps an identity shortcut (an empty chain); a
-    strided block projects it through a 1x1 convolution plus BN.  Parameters
-    and checkpoint arrays run through the main path, then the shortcut."""
+    strided block projects it through a 1x1 convolution plus BN.  The main
+    path's output and input gradient are fresh arrays nothing else holds, so
+    the shortcut's are added onto them in place.  Parameters and checkpoint
+    arrays run through the main path, then the shortcut."""
 
     def __init__(self, channels: int, stride: int, rng: np.random.Generator,
                  dtype=np.float64):
@@ -266,12 +290,15 @@ class ResidualBlock(Layer):
         self.relu_out = ReLU()
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        out = self.main.forward(x, training) + self.shortcut.forward(x, training)
+        out = self.main.forward(x, training)
+        out += self.shortcut.forward(x, training)
         return self.relu_out.forward(out, training)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         g = self.relu_out.backward(grad)
-        return self.main.backward(g) + self.shortcut.backward(g)
+        dx = self.main.backward(g)
+        dx += self.shortcut.backward(g)
+        return dx
 
     def parameters(self) -> list[Param]:
         return self.main.parameters() + self.shortcut.parameters()

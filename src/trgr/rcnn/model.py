@@ -3,7 +3,8 @@
 The architecture is fixed: a strided 3x3 stem, two residual blocks, then three
 conv/pool stages that squeeze the subcarrier axis down to a small feature map,
 a flatten, and one fully connected layer producing class logits.  Softmax is
-applied only by the loss and by `predict`.
+applied only by the loss and by `predict`, which scores as many frames per
+forward as keep the widest activation within `layers.TEMP_BYTES`.
 
 `shape_chain` walks the same stage table as the layer list to compute every
 output size for a given input frame (the construction-time shape check and
@@ -14,12 +15,14 @@ state's exact size; saving refuses a state that is not finite in float32.
 """
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
 
 from ..seeds import mix_seeds
 from .layers import (
+    TEMP_BYTES,
     BatchNorm2d,
     Chain,
     Conv2d,
@@ -36,9 +39,6 @@ CHECKPOINT_VERSION = 1
 
 _HEADER = struct.Struct("<7sHIIHH")
 _LAYER_REC = struct.Struct("<BHHHHHHH")
-# input values `predict` scores per forward: 32 desk frames (150x256), one
-# paper-size frame (150x8192); a chunk holds at least one frame
-_PREDICT_VALUES = 32 * 150 * 256
 
 
 # The stages between the input and the flatten, as (name, kind, output
@@ -132,9 +132,12 @@ class RcnnModel(Chain):
         return super().forward(batch.astype(self.dtype, copy=False), training)
 
     def predict(self, batch: np.ndarray) -> np.ndarray:
-        """Class indices: softmax then argmax, at most _PREDICT_VALUES input
-        values (and at least one frame) per forward."""
-        chunk = max(1, _PREDICT_VALUES // (self.frame_height * self.frame_width))
+        """Class indices: softmax then argmax, as many frames per forward as
+        keep the widest activation of `shape_chain` within TEMP_BYTES (at
+        least one)."""
+        widest = max(math.prod(shape) for _, shape in
+                     shape_chain(self.frame_height, self.frame_width, self.class_count))
+        chunk = max(1, TEMP_BYTES // (widest * self.dtype.itemsize))
         return np.concatenate([
             softmax(self.forward(batch[i:i + chunk])).argmax(axis=1)
             for i in range(0, batch.shape[0], chunk)

@@ -7,6 +7,7 @@ trajectory.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,7 +117,9 @@ def evaluate(model: RcnnModel, frames: np.ndarray, labels: np.ndarray) -> Metric
 def train(model: RcnnModel, train_set, test_set,
           cfg: TrainConfig) -> tuple[list[EpochLog], Metrics]:
     """Fit the model on the (frames, labels) train set, scoring both sets after
-    every epoch; returns the epoch logs and the last epoch's test metrics."""
+    every epoch; returns the epoch logs and the last epoch's test metrics.
+    Raises ValueError, before the update, at a step whose loss or global
+    gradient norm is not finite."""
     x_train, y_train = train_set
     _check_labels(model, y_train, test_set[1])
     optimizer = Adam(model.parameters(), cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
@@ -131,6 +134,11 @@ def train(model: RcnnModel, train_set, test_set,
             logits = model.forward(x_train[batch], training=True)
             loss, grad = cross_entropy(logits, y_train[batch])
             model.backward(grad)
+            # squares past the float range overflow Adam's second moment too
+            norm = math.sqrt(sum(float(np.vdot(p.grad, p.grad)) for p in optimizer.params))
+            if not (math.isfinite(loss) and math.isfinite(norm)):
+                raise ValueError(f"training diverged in epoch {epoch}: loss {loss}, "
+                                 f"gradient norm {norm}")
             optimizer.step()
             loss_sum += loss * batch.size
         train_acc = evaluate(model, *train_set).accuracy

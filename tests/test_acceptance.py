@@ -12,6 +12,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import trgr
 from helpers import run_gradient_suite
@@ -122,6 +123,7 @@ def test_criterion_4_gradient_suite():
            f"worst relative error {overall:.2e} <= 1e-4 ({detail}), {elapsed:.1f} s")
 
 
+@pytest.mark.slow
 def test_criterion_5_end_to_end_recognition(tmp_path):
     config = ROOT / "configs" / "desk.json"
     gen_dir = tmp_path / "gen"
@@ -151,6 +153,7 @@ def test_criterion_5_end_to_end_recognition(tmp_path):
            f"(metrics, log, checkpoint bytes), {elapsed / 60:.1f} min")
 
 
+@pytest.mark.slow
 def test_criterion_6_ablation_direction(tmp_path):
     config = ROOT / "configs" / "desk-hard.json"
     out = tmp_path / "ablate"

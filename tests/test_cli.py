@@ -284,6 +284,17 @@ class TestTrain:
         assert not (out / "model.bin").exists()
         assert not list(out.glob("manifest_*.json"))
 
+    def test_diverging_training_fails_before_the_checkpoint(self, workspace, tmp_path, capsys):
+        # a step this long overflows the weights, and the next gradient norm
+        # with them
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, out, train={"learning_rate": 1e300})
+        assert main(["train", "--config", str(cfg),
+                     "--dataset", str(workspace["out"] / "dataset_ris_on.bin")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: training diverged in epoch 1:")
+        assert not out.exists()
+
     def test_damaged_dataset_fails_with_one_line_error(self, workspace, tmp_path, capsys):
         data = (workspace["out"] / "dataset_ris_on.bin").read_bytes()
         damaged = tmp_path / "damaged.bin"
@@ -436,6 +447,29 @@ class TestCommandFrame:
             "error: No space left on device"]
         assert list(out.iterdir())  # an artifact was written before the failure
         assert not list(out.glob("manifest_*.json"))
+
+    @pytest.mark.parametrize("command, override", [
+        # the first dataset save refuses magnitudes beyond float32
+        ("generate", {"scenario": {"noise_variance": 1e80}}),
+        # the checkpoint save refuses a state beyond float32
+        ("train", {"train": {"learning_rate": 1e12}}),
+    ])
+    @pytest.mark.parametrize("output", ["run", "nested/run"])
+    def test_failed_command_removes_the_directories_it_made(self, workspace, tmp_path, capsys,
+                                                            command, override, output):
+        cfg = write_config(tmp_path, tmp_path / output, **override)
+        extra = ["--dataset", str(workspace["out"] / "dataset_ris_on.bin")] * (command == "train")
+        assert main([command, "--config", str(cfg), *extra]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: refusing")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_failed_command_keeps_an_existing_empty_directory(self, tmp_path):
+        out = tmp_path / "run"
+        out.mkdir()
+        cfg = write_config(tmp_path, out, scenario={"noise_variance": 1e80})
+        assert main(["generate", "--config", str(cfg)]) == 1
+        assert out.is_dir() and not list(out.iterdir())
 
     def test_main_runs_the_module_level_command(self, tmp_path, monkeypatch):
         # a wrapper set on the module (as the benchmark's tracer sets one) is

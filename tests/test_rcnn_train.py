@@ -2,6 +2,7 @@
 import csv
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from trgr.gait import CsiRecording
 from trgr.rcnn.layers import (
     BN_EPS,
+    TEMP_BYTES,
     BatchNorm2d,
     Conv2d,
     Flatten,
@@ -234,6 +236,27 @@ class TestTrainLoop:
         for sets in ((bad, good), (good, bad)):
             with pytest.raises(ValueError, match="out of range"):
                 train(model, *sets, TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("fault", ["nan_frame", "inf_gradient"])
+    def test_non_finite_step_stops_before_the_update(self, monkeypatch, fault):
+        (x, y), test_set = toy_split(train_per_class=2, test_per_class=2)
+        model = RcnnModel(H, W, 2, seed=0)
+        if fault == "nan_frame":  # the loss turns NaN
+            x = x.copy()
+            x[0, 0, 0, 0] = np.nan
+        else:  # the loss stays finite, the gradient norm does not
+            backward = model.backward
+
+            def overflowing(grad):
+                out = backward(grad)
+                model.layers[-1].b.grad[0] = np.inf
+                return out
+
+            monkeypatch.setattr(model, "backward", overflowing)
+        before = [p.data.copy() for p in model.parameters()]
+        with pytest.raises(ValueError, match="training diverged in epoch 1"):
+            train(model, (x, y), test_set, TrainConfig(epochs=1, batch_size=4))
+        assert all(np.array_equal(p.data, b) for p, b in zip(model.parameters(), before))
 
     def test_epoch_log_fields(self):
         model = RcnnModel(H, W, 2, seed=0)
@@ -477,10 +500,13 @@ class TestInference:
         assert pool.forward(x).tobytes() == out.tobytes()
         assert not np.shares_memory(out, x)
 
+    # frames per forward: TEMP_BYTES over the widest activation, the stem's
+    # 8 channels, in float64 (8 x 74 x 127 x 8 B = 601 kB at desk width,
+    # 298 kB at 128, 19.4 MB at 8192)
     @pytest.mark.parametrize("width, frames, sizes", [
-        (256, 70, [32, 32, 6]),   # desk frames
-        (128, 18, [18]),          # the largest TINY set is one forward
-        (8192, 3, [1, 1, 1]),     # the paper's frames
+        (256, 70, [6] * 11 + [4]),   # desk frames
+        (128, 18, [14, 4]),          # the largest TINY set
+        (8192, 3, [1, 1, 1]),        # the paper's frames
     ])
     def test_predict_chunk_is_set_by_frame_size(self, monkeypatch, width, frames, sizes):
         seen = []
@@ -493,3 +519,105 @@ class TestInference:
         labels = RcnnModel(150, width, 4).predict(np.zeros((frames, 1, 150, width)))
         assert seen == sizes
         assert labels.shape == (frames,)
+
+    def test_predict_holds_a_small_multiple_of_the_budget(self):
+        # a desk frame's residual columns are 1.36 MB; 32 of them in one
+        # array would pass glibc's 32 MiB mmap ceiling
+        model = RcnnModel(150, 256, 4, seed=1)
+        frames = np.random.default_rng(2).standard_normal((70, 1, 150, 256))
+        model.predict(frames[:2])
+        tracemalloc.start()
+        try:
+            labels = model.predict(frames)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert labels.shape == (70,)
+        assert peak < 5 * TEMP_BYTES < 32 << 20  # 15.5 MiB measured at 4 MiB
+
+
+def one_gemm_conv(conv: Conv2d, x: np.ndarray) -> np.ndarray:
+    """The convolution as one im2col matrix and one GEMM per frame."""
+    (kh, kw), (sh, sw), (ph, pw) = conv.kernel, conv.stride, conv.padding
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    cols = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
+    b, c, oh, ow = cols.shape[:4]
+    cols = cols.transpose(0, 1, 4, 5, 2, 3).reshape(b, c * kh * kw, oh * ow)
+    out = conv.w.data.reshape(conv.c_out, -1) @ cols
+    return out.reshape(b, conv.c_out, oh, ow) + conv.b.data.reshape(1, -1, 1, 1)
+
+
+def textbook_batchnorm_backward(bn: BatchNorm2d, grad: np.ndarray):
+    """(gamma grad, beta grad, input grad) of a training forward, written out."""
+    xhat, inv_std = bn._cache
+    dxhat = grad * bn.gamma.data.reshape(1, -1, 1, 1)
+    n = grad.shape[0] * grad.shape[2] * grad.shape[3]
+    sum_d = dxhat.sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1)
+    sum_dx = (dxhat * xhat).sum(axis=(0, 2, 3)).reshape(1, -1, 1, 1)
+    dx = (inv_std.reshape(1, -1, 1, 1) / n) * (n * dxhat - sum_d - xhat * sum_dx)
+    return (grad * xhat).sum(axis=(0, 2, 3)), grad.sum(axis=(0, 2, 3)), dx
+
+
+class TestTemporaryBudget:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), b=st.integers(1, 3), c_in=st.integers(1, 3), c_out=st.integers(1, 4),
+           kh=st.integers(1, 3), kw=st.integers(1, 3), sh=st.integers(1, 2),
+           sw=st.integers(1, 2), ph=st.integers(0, 1), pw=st.integers(0, 1),
+           dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1))
+    def test_blocked_eval_forward_is_the_one_gemm_forward(self, data, b, c_in, c_out, kh, kw,
+                                                          sh, sw, ph, pw, dtype, seed):
+        # at least 3 output rows, so that blocks can be several with a short last one
+        h = data.draw(st.integers(max(1, 2 * sh + kh - 2 * ph), 20))
+        w = data.draw(st.integers(max(1, kw - 2 * pw), 36))
+        oh, ow = (h + 2 * ph - kh) // sh + 1, (w + 2 * pw - kw) // sw + 1
+        rows = data.draw(st.sampled_from([r for r in range(1, oh) if oh % r]))
+        rng = np.random.default_rng(seed)
+        conv = Conv2d(c_in, c_out, (kh, kw), (sh, sw), (ph, pw), rng, dtype)
+        conv.b.data[...] = rng.standard_normal(c_out)
+        x = rng.standard_normal((b, c_in, h, w)).astype(dtype)
+        row_bytes = b * c_in * kh * kw * ow * np.dtype(dtype).itemsize
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("trgr.rcnn.layers.TEMP_BYTES",
+                       rows * row_bytes + data.draw(st.integers(0, row_bytes - 1)))
+            blocked = conv.forward(x)
+            # a training forward is one block whatever the budget
+            trained = conv.forward(x, training=True)
+        expected = one_gemm_conv(conv, x)
+        assert blocked.shape == expected.shape == (b, c_out, oh, ow)
+        assert blocked.dtype == expected.dtype == dtype
+        assert trained.tobytes() == expected.tobytes()
+        assert conv._cache[0].shape == (b, c_in * kh * kw, oh * ow)
+        # OpenBLAS may compute a column with another kernel, and so another
+        # summation order, when a block moves it off a vector tile or leaves a
+        # short block (16 + 8 columns against 24 at c_out 1, say); only the
+        # rounding of the sum over the taps may differ
+        taps = c_in * kh * kw
+        scale = taps * np.abs(conv.w.data).max() * np.abs(x).max() + np.abs(conv.b.data).max()
+        assert np.abs(blocked - expected).max() <= 2 * taps * np.finfo(dtype).eps * scale
+
+    @pytest.mark.parametrize("width, k", [(128, 3), (256, 4), (8192, 10)])
+    def test_blocked_network_forward_is_the_one_gemm_forward(self, monkeypatch, width, k):
+        # at the network's own sizes the blocks round as the one GEMM does, so
+        # predict's forwards are bit for bit the unblocked ones
+        model = RcnnModel(150, width, k, seed=2)
+        widest = 8 * 74 * ((width - 3) // 2 + 1) * 8  # the stem's float64 output
+        chunk = max(1, TEMP_BYTES // widest)
+        frames = np.random.default_rng(3).standard_normal((chunk, 1, 150, width))
+        blocked = model.forward(frames)
+        monkeypatch.setattr("trgr.rcnn.layers.TEMP_BYTES", 1 << 40)
+        assert blocked.tobytes() == model.forward(frames).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(b=st.integers(1, 3), c=st.integers(1, 4), h=st.integers(1, 5), w=st.integers(1, 5),
+           dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1))
+    def test_batchnorm_backward_is_the_textbook_expression(self, b, c, h, w, dtype, seed):
+        rng = np.random.default_rng(seed)
+        bn = BatchNorm2d(c, dtype=dtype)
+        bn.gamma.data[...] = rng.uniform(0.5, 2.0, c)
+        bn.forward((3 * rng.standard_normal((b, c, h, w)) + 1).astype(dtype), training=True)
+        grad = rng.standard_normal((b, c, h, w)).astype(dtype)
+        expected = textbook_batchnorm_backward(bn, grad)
+        dx = bn.backward(grad)
+        for got, want in zip((bn.gamma.grad, bn.beta.grad, dx), expected):
+            assert got.dtype == want.dtype == dtype
+            assert got.tobytes() == want.tobytes()
