@@ -59,20 +59,24 @@ class Taps:
             object.__setattr__(self, name, val)
 
 
+@dataclass(frozen=True, eq=False)
 class RisChannel:
     """Per-element channels through an N-element transmissive RIS.
 
     tx_to_ris[n] and ris_to_rx[n] are the complex gains of element n on the
     Tx side and Rx side; path_delays[n] is the total Tx->element->Rx delay.
-    The per-element amplitude shift is fixed at 1.
+    The per-element amplitude shift is fixed at 1.  Each field is stored as a
+    read-only copy.
     """
 
-    __slots__ = ("tx_to_ris", "ris_to_rx", "path_delays")
+    tx_to_ris: np.ndarray
+    ris_to_rx: np.ndarray
+    path_delays: np.ndarray
 
-    def __init__(self, tx_to_ris, ris_to_rx, path_delays):
-        h_in = np.array(tx_to_ris, dtype=np.complex128)
-        h_out = np.array(ris_to_rx, dtype=np.complex128)
-        delays = np.array(path_delays, dtype=np.float64)
+    def __post_init__(self):
+        h_in = np.array(self.tx_to_ris, dtype=np.complex128)
+        h_out = np.array(self.ris_to_rx, dtype=np.complex128)
+        delays = np.array(self.path_delays, dtype=np.float64)
         if not (h_in.shape == h_out.shape == delays.shape) or h_in.ndim != 1:
             raise ValueError(
                 f"tx_to_ris, ris_to_rx and path_delays must be 1-D with equal length, got "
@@ -85,9 +89,6 @@ class RisChannel:
         for name, val in (("tx_to_ris", h_in), ("ris_to_rx", h_out), ("path_delays", delays)):
             val.flags.writeable = False
             object.__setattr__(self, name, val)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RisChannel is immutable")
 
     @property
     def n_elements(self) -> int:
@@ -128,6 +129,14 @@ class SubcarrierGrid:
         return CENTER_FREQUENCY_HZ - BANDWIDTH_HZ / 2.0 + k * BANDWIDTH_HZ / (self.count - 1)
 
 
+def _fitted_phases(ris: RisChannel, codebook: Codebook) -> np.ndarray:
+    """theta_n of the codebook, which must have one bit per element of the surface."""
+    thetas = phase_matrix(codebook)
+    if thetas.shape[0] != ris.n_elements:
+        raise ValueError(f"codebook has {thetas.shape[0]} elements, RIS channel has {ris.n_elements}")
+    return thetas
+
+
 def combined_taps(direct: Taps, ris: RisChannel, codebook: Codebook) -> Taps:
     """Direct taps followed by one tap per RIS element under the given codebook.
 
@@ -135,9 +144,7 @@ def combined_taps(direct: Taps, ris: RisChannel, codebook: Codebook) -> Taps:
     arg(tx_to_ris[n]) + arg(ris_to_rx[n]) + theta_n (mod 2*pi) and delay
     path_delays[n].
     """
-    thetas = phase_matrix(codebook)
-    if thetas.shape[0] != ris.n_elements:
-        raise ValueError(f"codebook has {thetas.shape[0]} elements, RIS channel has {ris.n_elements}")
+    thetas = _fitted_phases(ris, codebook)
     return Taps(
         np.concatenate([direct.amplitude, np.abs(ris.tx_to_ris) * np.abs(ris.ris_to_rx)]),
         np.concatenate([direct.phase, np.angle(ris.tx_to_ris) + np.angle(ris.ris_to_rx) + thetas]),
@@ -156,9 +163,7 @@ def frequency_response(taps: Taps, grid: SubcarrierGrid) -> np.ndarray:
 
 def effective_gain(ris: RisChannel, codebook: Codebook) -> complex:
     """Narrowband effective channel h Phi H = sum_n ris_to_rx[n] e^{j theta_n} tx_to_ris[n]."""
-    thetas = phase_matrix(codebook)
-    if thetas.shape[0] != ris.n_elements:
-        raise ValueError(f"codebook has {thetas.shape[0]} elements, RIS channel has {ris.n_elements}")
+    thetas = _fitted_phases(ris, codebook)
     return complex(np.sum(ris.ris_to_rx * np.exp(1j * thetas) * ris.tx_to_ris))
 
 

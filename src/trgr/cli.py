@@ -12,9 +12,10 @@ Every command but `shapes` takes (config, args) and returns each file it read
 or wrote, by name.  `main` is the one frame around it: it resolves the JSON
 config (`config.DEFAULTS` is its schema), times the command and writes
 `manifest_<command>.json` over those files, so a command that fails writes no
-manifest.  Artifacts go under the output directory, which the first artifact
-creates and `main` removes again if the command then fails and leaves it
-empty; exit 0 means all outputs were written and the internal audits passed.
+manifest.  Artifacts go under the output directory, which `main` creates
+before the command runs and removes again, with any parents it made, if the
+command fails and leaves it empty; exit 0 means all outputs were written and
+the internal audits passed.
 """
 from __future__ import annotations
 
@@ -41,13 +42,6 @@ from .pipeline import denoise_recording, load_dataset, normalize, save_dataset, 
 from .rcnn.model import RcnnModel, load_model, save_model, shape_chain
 from .rcnn.training import evaluate, recordings_to_arrays, train, write_training_log
 from .ris import BRUTE_FORCE_MAX_BITS, brute_force, optimize, snr_probe
-
-
-def _output(cfg: ExperimentConfig, name: str) -> Path:
-    """The artifact `name` under the output directory, which the first artifact
-    creates, so a command that fails on its inputs leaves nothing behind."""
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    return cfg.output_dir / name
 
 
 def _existing(path, what: str) -> Path:
@@ -108,8 +102,8 @@ def cmd_optimize(cfg: ExperimentConfig, args) -> dict[str, Path]:
         report["brute_force_strength"] = best
         report["gap_to_brute_force"] = best - trace.best_strength
         print(f"brute force strength {best:.6g}  gap {report['gap_to_brute_force']:.3g}")
-    paths = {"codebook": _output(cfg, "codebook.txt"), "trace": _output(cfg, "trace.csv"),
-             "snr_report": _output(cfg, "snr_report.json")}
+    paths = {"codebook": cfg.output_dir / "codebook.txt", "trace": cfg.output_dir / "trace.csv",
+             "snr_report": cfg.output_dir / "snr_report.json"}
     paths["codebook"].write_text(trace.best_codebook.to_text())
     trace.to_csv(paths["trace"])
     write_json(paths["snr_report"], report)
@@ -138,7 +132,7 @@ def _generate_datasets(cfg: ExperimentConfig, names) -> dict[str, Path]:
             codebook = Codebook.zeros(0, 0)
         recordings = generate_dataset(cfg.profiles, scenario, codebook,
                                       cfg.episodes_per_subject, cfg.dataset_seed)
-        paths[name] = _output(cfg, f"dataset_{name}.bin")
+        paths[name] = cfg.output_dir / f"dataset_{name}.bin"
         save_dataset(paths[name], recordings)
         del recordings  # freed before the next dataset renders
     return paths
@@ -182,9 +176,9 @@ def _train_on(cfg: ExperimentConfig, dataset_path: Path):
 def cmd_train(cfg: ExperimentConfig, args) -> dict[str, Path]:
     dataset_path = _dataset(cfg, "ris_on", args.dataset)
     model, logs, metrics = _train_on(cfg, dataset_path)
-    paths = {"checkpoint": _output(cfg, "model.bin"),
-             "training_log": _output(cfg, "training_log.csv"),
-             "metrics": _output(cfg, "metrics.json")}
+    paths = {"checkpoint": cfg.output_dir / "model.bin",
+             "training_log": cfg.output_dir / "training_log.csv",
+             "metrics": cfg.output_dir / "metrics.json"}
     save_model(model, paths["checkpoint"])
     write_training_log(logs, paths["training_log"])
     doc = _metrics_doc(metrics)
@@ -206,7 +200,7 @@ def cmd_evaluate(cfg: ExperimentConfig, args) -> dict[str, Path]:
     else:
         frames, labels = train_set if args.split == "train" else test_set
     doc = {**_metrics_doc(evaluate(model, frames, labels)), "split": args.split}
-    metrics_path = _output(cfg, "eval_metrics.json")
+    metrics_path = cfg.output_dir / "eval_metrics.json"
     write_json(metrics_path, doc)
     _print_metrics(f"{args.split}:", doc)
     return {"metrics": metrics_path, "dataset": dataset_path, "checkpoint": model_path}
@@ -230,7 +224,7 @@ def cmd_ablate(cfg: ExperimentConfig, args) -> dict[str, Path]:
         report["ris_on"]["accuracy_pct"] - report["ris_off"]["accuracy_pct"], 2)
     print(f"accuracy delta {report['accuracy_delta_pp']:+.2f} pp (ris_on - ris_off)")
 
-    report_path = _output(cfg, "ablation_report.json")
+    report_path = cfg.output_dir / "ablation_report.json"
     write_json(report_path, report)
     return {"ablation_report": report_path, **paths}
 
@@ -294,11 +288,12 @@ def main(argv=None) -> int:
         cfg = (load_config(args.config, args.seed, args.output) if args.config is not None
                else resolve_config({}, args.seed, args.output))
         made = [d for d in (cfg.output_dir, *cfg.output_dir.parents) if not d.exists()]
+        cfg.output_dir.mkdir(parents=True, exist_ok=True)
         t0 = time.perf_counter()
         artifacts = args.func(cfg, args)
         manifest = build_manifest(args.command, cfg, artifacts,
                                   {"total": time.perf_counter() - t0})
-        write_json(_output(cfg, f"manifest_{args.command}.json"), manifest)
+        write_json(cfg.output_dir / f"manifest_{args.command}.json", manifest)
         return 0
     except (ValueError, OSError, MemoryError) as exc:
         _remove_empty(made)

@@ -6,26 +6,27 @@ unit-modulus constraint |e^{j*theta_n}| = 1 by construction.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 
+@dataclass(frozen=True, eq=False)
 class Codebook:
-    """Immutable R x C binary on/off grid; bit b maps to phase b*pi."""
+    """Immutable R x C binary on/off grid; bit b maps to phase b*pi.  The
+    entries are checked before the cast to a read-only uint8 copy."""
 
-    __slots__ = ("grid",)
+    grid: np.ndarray
 
-    def __init__(self, grid):
-        g = np.asarray(grid, dtype=np.uint8)
+    def __post_init__(self):
+        g = np.array(self.grid)
         if g.ndim != 2:
             raise ValueError(f"codebook grid must be 2-D, got shape {g.shape}")
         if not np.all((g == 0) | (g == 1)):
             raise ValueError("codebook entries must be 0 or 1")
-        g = g.copy()
+        g = g.astype(np.uint8, copy=False)
         g.flags.writeable = False
         object.__setattr__(self, "grid", g)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Codebook is immutable")
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Codebook":

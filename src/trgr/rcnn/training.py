@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -21,20 +22,17 @@ class TrainConfig:
     learning_rate: float = 1e-3
     batch_size: int = 8
     epochs: int = 20
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
+    # Adam's moment decays and denominator floor, the same for every run
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    eps: ClassVar[float] = 1e-8
 
     def __post_init__(self):
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be positive")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be at least 1")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("beta coefficients must lie in [0, 1)")
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
 
 
 class Adam:
@@ -119,7 +117,8 @@ def train(model: RcnnModel, train_set, test_set,
     """Fit the model on the (frames, labels) train set, scoring both sets after
     every epoch; returns the epoch logs and the last epoch's test metrics.
     Raises ValueError, before the update, at a step whose loss or global
-    gradient norm is not finite."""
+    gradient norm is not finite, and at the first float overflow or invalid
+    operation of an epoch."""
     x_train, y_train = train_set
     _check_labels(model, y_train, test_set[1])
     optimizer = Adam(model.parameters(), cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
@@ -129,19 +128,23 @@ def train(model: RcnnModel, train_set, test_set,
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(n)
         loss_sum = 0.0
-        for start in range(0, n, cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            logits = model.forward(x_train[batch], training=True)
-            loss, grad = cross_entropy(logits, y_train[batch])
-            model.backward(grad)
-            # squares past the float range overflow Adam's second moment too
-            norm = math.sqrt(sum(float(np.vdot(p.grad, p.grad)) for p in optimizer.params))
-            if not (math.isfinite(loss) and math.isfinite(norm)):
-                raise ValueError(f"training diverged in epoch {epoch}: loss {loss}, "
-                                 f"gradient norm {norm}")
-            optimizer.step()
-            loss_sum += loss * batch.size
-        train_acc = evaluate(model, *train_set).accuracy
-        test_metrics = evaluate(model, *test_set)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                for start in range(0, n, cfg.batch_size):
+                    batch = order[start:start + cfg.batch_size]
+                    logits = model.forward(x_train[batch], training=True)
+                    loss, grad = cross_entropy(logits, y_train[batch])
+                    model.backward(grad)
+                    # squares past the float range overflow Adam's second moment too
+                    norm = math.sqrt(sum(float(np.vdot(p.grad, p.grad))
+                                         for p in optimizer.params))
+                    if not (math.isfinite(loss) and math.isfinite(norm)):
+                        raise FloatingPointError(f"loss {loss}, gradient norm {norm}")
+                    optimizer.step()
+                    loss_sum += loss * batch.size
+                train_acc = evaluate(model, *train_set).accuracy
+                test_metrics = evaluate(model, *test_set)
+        except FloatingPointError as exc:
+            raise ValueError(f"training diverged in epoch {epoch}: {exc}") from None
         logs.append(EpochLog(epoch, loss_sum / n, train_acc, test_metrics.accuracy))
     return logs, test_metrics

@@ -89,15 +89,11 @@ def optimize(probe: ObjectiveProbe, initial: Codebook, outer_iters: int = 5) -> 
     if outer_iters < 1:
         raise ValueError("outer_iters must be >= 1")
     measure = probe.reader()
-    rows, cols = initial.rows, initial.cols
+    visits = [("column", c) for c in range(initial.cols)] + [("row", r) for r in range(initial.rows)]
     current = initial
     trace = OptimizationTrace()
     for t in range(1, outer_iters + 1):
-        for i in range(1, rows + cols + 1):
-            if i <= cols:
-                kind, index = "column", i - 1
-            else:
-                kind, index = "row", i - cols - 1
+        for i, (kind, index) in enumerate(visits, 1):
             s_current = measure(current)
             if s_current > trace.best_strength:
                 trace.best_strength = s_current
@@ -120,11 +116,13 @@ def brute_force(probe: ObjectiveProbe, rows: int, cols: int) -> tuple[Codebook, 
     if n > BRUTE_FORCE_MAX_BITS:
         raise ValueError(f"brute force capped at {BRUTE_FORCE_MAX_BITS} bits, got {n}")
     measure = probe.reader()
+    # row k is k in binary, most significant bit first, as a rows x cols grid
+    big_endian = np.arange(1 << n, dtype=">u4").view(np.uint8).reshape(-1, 4)
+    table = np.unpackbits(big_endian, axis=1)[:, 32 - n:].reshape(1 << n, rows, cols)
     best_cb = None
     best_s = -math.inf
-    for value in range(1 << n):
-        bits = [(value >> (n - 1 - j)) & 1 for j in range(n)]
-        cb = Codebook(np.array(bits, dtype=np.uint8).reshape(rows, cols))
+    for bits in table:
+        cb = Codebook(bits)
         s = measure(cb)
         if s > best_s:
             best_s = s

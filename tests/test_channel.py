@@ -92,6 +92,10 @@ class TestRisChannel:
         with pytest.raises(ValueError):
             ris.path_delays[0] = 1.0
 
+    def test_no_attribute_can_be_added(self):
+        with pytest.raises(AttributeError):
+            small_ris(2).note = "measured"
+
     def test_empty_has_zero_elements(self):
         assert RisChannel.empty().n_elements == 0
 
@@ -170,6 +174,17 @@ class TestCombinedTaps:
         _, direct = two_tap_setup()
         with pytest.raises(ValueError):
             combined_taps(direct, small_ris(4), Codebook.zeros(1, 3))
+
+    def test_taps_and_gain_reject_a_misfit_codebook_alike(self):
+        _, direct = two_tap_setup()
+        ris, codebook = small_ris(4), Codebook.zeros(1, 3)
+        messages = []
+        for call in (lambda: combined_taps(direct, ris, codebook),
+                     lambda: effective_gain(ris, codebook)):
+            with pytest.raises(ValueError) as info:
+                call()
+            messages.append(str(info.value))
+        assert messages == ["codebook has 3 elements, RIS channel has 4"] * 2
 
     def test_flipping_a_bit_negates_that_cascade_term(self):
         direct = NO_TAPS

@@ -1,6 +1,7 @@
 """End-to-end checks of every subcommand on a reduced-size configuration."""
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -291,6 +292,21 @@ class TestTrain:
         cfg = write_config(tmp_path, out, train={"learning_rate": 1e300})
         assert main(["train", "--config", str(cfg),
                      "--dataset", str(workspace["out"] / "dataset_ris_on.bin")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: training diverged in epoch 1:")
+        assert not out.exists()
+
+    def test_overflowing_training_fails_with_one_line_error(self, workspace, tmp_path, capsys):
+        # the loss and gradient norm stay finite, but a later forward
+        # overflows; that overflow is the one fault reported, with no numpy
+        # warning on the way
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, out, train={"learning_rate": 1e100})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["train", "--config", str(cfg),
+                         "--dataset", str(workspace["out"] / "dataset_ris_on.bin")]) == 1
+        assert [str(w.message) for w in caught] == []
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: training diverged in epoch 1:")
         assert not out.exists()

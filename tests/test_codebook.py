@@ -1,14 +1,16 @@
 """Codebook construction, text layout, phase mapping and line flips."""
 import math
+import pickle
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from trgr.codebook import Codebook, line_flip, phase_matrix
 
+GRID_SHAPES = st.lists(st.integers(0, 4), max_size=3).map(tuple)  # 0-D to 3-D
 SEEDED_GRID = np.random.default_rng(8).integers(0, 2, (5, 4), dtype=np.uint8)
 
 
@@ -31,6 +33,38 @@ class TestConstruction:
             cb.grid[0, 0] = 1
         with pytest.raises(AttributeError):
             cb.grid = np.zeros((2, 2))
+
+    def test_no_attribute_can_be_added(self):
+        with pytest.raises(AttributeError):
+            Codebook.zeros(2, 2).note = "tuned"
+
+    @given(grid=st.one_of(
+               arrays(np.int64, GRID_SHAPES,
+                      elements=st.integers(-1, 2) | st.integers(-2**63, 2**63 - 1)),
+               arrays(np.float64, GRID_SHAPES, elements=st.sampled_from((0.0, 1.0)) | st.floats())),
+           as_list=st.booleans())
+    @example(grid=np.array([[-255]]), as_list=True)
+    @example(grid=np.array([[257]]), as_list=True)
+    @example(grid=np.array([[0.7, 1.9]]), as_list=True)
+    @example(grid=np.array([[2**70, 1]]), as_list=True)
+    @example(grid=np.array([[True, False]]), as_list=False)
+    def test_accepts_exactly_2d_grids_of_zeros_and_ones(self, grid, as_list):
+        # the entries are checked as given, so none wraps into a bit on a cast
+        if as_list:
+            assume(0 not in grid.shape)  # nested empty lists lose their axes
+        given_grid = grid.tolist() if as_list else grid
+        if grid.ndim != 2:
+            with pytest.raises(ValueError, match="must be 2-D"):
+                Codebook(given_grid)
+        elif np.all((grid == 0) | (grid == 1)):
+            assert np.array_equal(Codebook(given_grid).grid, grid)
+        else:
+            with pytest.raises(ValueError, match="entries must be 0 or 1"):
+                Codebook(given_grid)
+
+    def test_pickle_round_trip(self):
+        cb = Codebook(SEEDED_GRID)
+        assert pickle.loads(pickle.dumps(cb)) == cb
 
     def test_constructor_copies_input(self):
         src = np.zeros((2, 3), dtype=np.uint8)

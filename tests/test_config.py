@@ -1,5 +1,7 @@
 """Config resolution: defaults, seed derivation, overrides, manifests."""
+import dataclasses
 import json
+import pickle
 import re
 from pathlib import Path
 
@@ -187,6 +189,32 @@ class TestLoadConfig:
         assert desk.scenario.grid.count == 256
         assert hard.scenario.noise.variance > desk.scenario.noise.variance
         assert hard.scenario.wall_attenuation_db > desk.scenario.wall_attenuation_db
+
+
+def _same(a, b) -> bool:
+    """Equal values all the way down: dataclass fields, arrays by dtype and
+    contents, containers item by item."""
+    if type(a) is not type(b):
+        return False
+    if dataclasses.is_dataclass(a):
+        return all(_same(getattr(a, f.name), getattr(b, f.name))
+                   for f in dataclasses.fields(a))
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    return a == b
+
+
+@pytest.mark.parametrize("path", [None, "configs/desk.json"])
+def test_resolved_config_survives_pickle(path):
+    # a worker process receives its config this way
+    cfg = load_config(path) if path else resolve_config({})
+    back = pickle.loads(pickle.dumps(cfg))
+    assert _same(back, cfg)
+    assert back.scenario.ris.n_elements == cfg.ris_rows * cfg.ris_cols
 
 
 class TestManifest:

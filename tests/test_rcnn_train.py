@@ -148,11 +148,18 @@ class TestBatchNormInvariants:
 
 
 class TestTrainConfig:
-    @pytest.mark.parametrize("field", ["learning_rate", "eps"])
+    @pytest.mark.parametrize("field", ["learning_rate"])
     @pytest.mark.parametrize("value", [0.0, -1e-3, float("nan")])
     def test_non_positive_or_nan_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
+
+    def test_adam_constants_are_fixed(self):
+        # read as cfg.beta1 etc., but no run sets them
+        cfg = TrainConfig()
+        assert (cfg.beta1, cfg.beta2, cfg.eps) == (0.9, 0.999, 1e-8)
+        with pytest.raises(TypeError):
+            TrainConfig(eps=1e-6)
 
 
 class TestAdam:

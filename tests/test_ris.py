@@ -228,6 +228,15 @@ class TestBruteForce:
         assert len(seen) == 16
         assert len(set(seen)) == 16
 
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (1, 3), (2, 2), (3, 1), (2, 3), (2, 4),
+                                            (1, 8)])
+    def test_kth_candidate_is_k_in_binary_msb_first(self, rows, cols):
+        seen = []
+        brute_force(ObjectiveProbe(lambda cb: seen.append(cb.grid.reshape(-1).tolist()) or 0.0),
+                    rows, cols)
+        n = rows * cols
+        assert seen == [[int(ch) for ch in format(k, f"0{n}b")] for k in range(1 << n)]
+
     def test_matches_exhaustive_snr_scan(self):
         ris = random_ris(6, seed=6)
         noise = NoiseSpec(variance=1.0)
