@@ -1,14 +1,15 @@
 """Multipath channel model for a Tx -> (wall / transmissive RIS) -> Rx link.
 
-The channel impulse response is a tapped delay line
+The channel impulse response is a tapped delay line of complex tap gains
+g = a e^{j phi}:
 
-    h(tau) = sum_m a_m e^{j phi_m} delta(tau - tau_m)            (direct taps)
-           + sum_n a_n b_n e^{j(phi_n + theta_n)} delta(tau - tau_n)   (RIS taps)
+    h(tau) = sum_m g_m delta(tau - tau_m)                                  (direct taps)
+           + sum_n ris_to_rx[n] e^{j theta_n} tx_to_ris[n] delta(tau - tau_n)  (RIS taps)
 
 where theta_n is the 1-bit phase shift applied by RIS element n and the
-amplitude shift b_n is fixed at 1.  The narrowband effective gain h Phi H
-and the SNR rho = |h Phi H|^2 / sigma^2 use the same per-element channels
-without the delay terms.
+amplitude shift is fixed at 1.  One cascade computes the RIS tap gains; the
+narrowband effective gain h Phi H is their sum, and the SNR is
+rho = |h Phi H|^2 / sigma^2.
 
 All operations are pure functions of immutable inputs, so everything here is
 safe to call concurrently.
@@ -29,34 +30,32 @@ BANDWIDTH_HZ = 160e6
 
 @dataclass(frozen=True, eq=False)
 class Taps:
-    """Taps of the impulse response as three equal-length read-only arrays.
+    """Taps of the impulse response as two equal-length read-only arrays:
+    complex gains and delays.
 
-    Amplitudes and delays must be finite and >= 0; phases are wrapped into
-    [0, 2*pi).  An empty Taps (three zero-length arrays) is a valid channel.
+    Gains must be finite and delays finite and >= 0.  An empty Taps (two
+    zero-length arrays) is a valid channel.
     """
 
-    amplitude: np.ndarray
-    phase: np.ndarray
+    gain: np.ndarray
     delay: np.ndarray
 
     def __post_init__(self):
-        amp, phase, delay = (np.array(v, dtype=np.float64)
-                             for v in (self.amplitude, self.phase, self.delay))
-        if amp.ndim != 1 or not amp.shape == phase.shape == delay.shape:
+        gain = np.array(self.gain, dtype=np.complex128)
+        delay = np.array(self.delay, dtype=np.float64)
+        if gain.ndim != 1 or gain.shape != delay.shape:
             raise ValueError(f"tap fields must be 1-D with equal length, got "
-                             f"{amp.shape}, {phase.shape}, {delay.shape}")
-        if not (np.all(np.isfinite(amp)) and np.all(np.isfinite(phase))
-                and np.all(np.isfinite(delay))):
+                             f"{gain.shape}, {delay.shape}")
+        if not (np.all(np.isfinite(gain)) and np.all(np.isfinite(delay))):
             raise ValueError("tap fields must be finite")
-        if np.any(amp < 0):
-            raise ValueError(f"tap amplitudes must be >= 0, got {amp.min()}")
         if np.any(delay < 0):
             raise ValueError(f"tap delays must be >= 0, got {delay.min()}")
-        phase = np.fmod(phase, TWO_PI)
-        phase[phase < 0.0] += TWO_PI
-        for name, val in (("amplitude", amp), ("phase", phase), ("delay", delay)):
+        for name, val in (("gain", gain), ("delay", delay)):
             val.flags.writeable = False
             object.__setattr__(self, name, val)
+
+    def __reduce__(self):  # copies and unpickled values are rebuilt, so checked and read-only
+        return type(self), (self.gain, self.delay)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,6 +88,9 @@ class RisChannel:
         for name, val in (("tx_to_ris", h_in), ("ris_to_rx", h_out), ("path_delays", delays)):
             val.flags.writeable = False
             object.__setattr__(self, name, val)
+
+    def __reduce__(self):  # copies and unpickled values are rebuilt, so checked and read-only
+        return type(self), (self.tx_to_ris, self.ris_to_rx, self.path_delays)
 
     @property
     def n_elements(self) -> int:
@@ -129,33 +131,25 @@ class SubcarrierGrid:
         return CENTER_FREQUENCY_HZ - BANDWIDTH_HZ / 2.0 + k * BANDWIDTH_HZ / (self.count - 1)
 
 
-def _fitted_phases(ris: RisChannel, codebook: Codebook) -> np.ndarray:
-    """theta_n of the codebook, which must have one bit per element of the surface."""
+def _cascade(ris: RisChannel, codebook: Codebook) -> np.ndarray:
+    """Per-element gains ris_to_rx[n] e^{j theta_n} tx_to_ris[n]; the codebook
+    must have one bit per element of the surface."""
     thetas = phase_matrix(codebook)
     if thetas.shape[0] != ris.n_elements:
         raise ValueError(f"codebook has {thetas.shape[0]} elements, RIS channel has {ris.n_elements}")
-    return thetas
+    return ris.ris_to_rx * np.exp(1j * thetas) * ris.tx_to_ris
 
 
 def combined_taps(direct: Taps, ris: RisChannel, codebook: Codebook) -> Taps:
-    """Direct taps followed by one tap per RIS element under the given codebook.
-
-    RIS tap n has amplitude |tx_to_ris[n]| * |ris_to_rx[n]|, phase
-    arg(tx_to_ris[n]) + arg(ris_to_rx[n]) + theta_n (mod 2*pi) and delay
-    path_delays[n].
-    """
-    thetas = _fitted_phases(ris, codebook)
-    return Taps(
-        np.concatenate([direct.amplitude, np.abs(ris.tx_to_ris) * np.abs(ris.ris_to_rx)]),
-        np.concatenate([direct.phase, np.angle(ris.tx_to_ris) + np.angle(ris.ris_to_rx) + thetas]),
-        np.concatenate([direct.delay, ris.path_delays]),
-    )
+    """Direct taps followed by one tap per RIS element under the given codebook,
+    with the element's cascade gain and delay path_delays[n]."""
+    return Taps(np.concatenate([direct.gain, _cascade(ris, codebook)]),
+                np.concatenate([direct.delay, ris.path_delays]))
 
 
 def frequency_response(taps: Taps, grid: SubcarrierGrid) -> np.ndarray:
-    """Per-subcarrier response H[k] = sum_i a_i e^{j phi_i} e^{-j 2 pi f_k tau_i}."""
-    gains = taps.amplitude * np.exp(1j * taps.phase)
-    resp = gains @ np.exp(-1j * TWO_PI * np.outer(taps.delay, grid.frequencies()))
+    """Per-subcarrier response H[k] = sum_i g_i e^{-j 2 pi f_k tau_i}."""
+    resp = taps.gain @ np.exp(-1j * TWO_PI * np.outer(taps.delay, grid.frequencies()))
     if not np.all(np.isfinite(resp)):
         raise ValueError("non-finite frequency response")
     return resp
@@ -163,8 +157,7 @@ def frequency_response(taps: Taps, grid: SubcarrierGrid) -> np.ndarray:
 
 def effective_gain(ris: RisChannel, codebook: Codebook) -> complex:
     """Narrowband effective channel h Phi H = sum_n ris_to_rx[n] e^{j theta_n} tx_to_ris[n]."""
-    thetas = _fitted_phases(ris, codebook)
-    return complex(np.sum(ris.ris_to_rx * np.exp(1j * thetas) * ris.tx_to_ris))
+    return complex(np.sum(_cascade(ris, codebook)))
 
 
 def snr(ris: RisChannel, codebook: Codebook, noise: NoiseSpec) -> float:

@@ -14,7 +14,8 @@ import numpy as np
 @dataclass(frozen=True, eq=False)
 class Codebook:
     """Immutable R x C binary on/off grid; bit b maps to phase b*pi.  The
-    entries are checked before the cast to a read-only uint8 copy."""
+    entries are checked before the cast to a read-only uint8 copy, and a
+    complex grid is rejected whatever its values."""
 
     grid: np.ndarray
 
@@ -22,11 +23,14 @@ class Codebook:
         g = np.array(self.grid)
         if g.ndim != 2:
             raise ValueError(f"codebook grid must be 2-D, got shape {g.shape}")
-        if not np.all((g == 0) | (g == 1)):
+        if np.iscomplexobj(g) or not np.all((g == 0) | (g == 1)):
             raise ValueError("codebook entries must be 0 or 1")
         g = g.astype(np.uint8, copy=False)
         g.flags.writeable = False
         object.__setattr__(self, "grid", g)
+
+    def __reduce__(self):  # copies and unpickled values are rebuilt, so checked and read-only
+        return type(self), (self.grid,)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Codebook":

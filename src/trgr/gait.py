@@ -176,7 +176,7 @@ def dynamic_coupling(scenario: ScenarioConfig) -> float:
 def _static_response(scenario: ScenarioConfig, codebook: Codebook) -> np.ndarray:
     """Per-subcarrier response of the attenuated wall leak plus the RIS cascade."""
     scale = 10.0 ** (-scenario.wall_attenuation_db / 20.0)
-    leak = Taps(scenario.direct.amplitude * scale, scenario.direct.phase, scenario.direct.delay)
+    leak = Taps(scenario.direct.gain * scale, scenario.direct.delay)
     return frequency_response(combined_taps(leak, scenario.ris, codebook), scenario.grid)
 
 
@@ -253,11 +253,12 @@ def leaky_direct_channel(seed: int) -> Taps:
     """Weak unaided through-wall taps (before scenario-level attenuation).
 
     Draws run tap by tap (amplitude, phase, delay, then the next tap): the
-    (DIRECT_TAP_COUNT, 3) draw fills rows in that order.
+    (DIRECT_TAP_COUNT, 3) draw fills rows in that order.  A tap's gain is
+    amplitude * e^{j phase}.
     """
     rng = np.random.default_rng(mix_seeds(seed, 0x646972))
     draws = rng.uniform((0.4, 0.0, 0.0), (1.0, 2.0 * math.pi, 80e-9), (DIRECT_TAP_COUNT, 3))
-    return Taps(draws[:, 0], draws[:, 1], draws[:, 2])
+    return Taps(draws[:, 0] * np.exp(1j * draws[:, 1]), draws[:, 2])
 
 
 def default_scenario(subcarriers: int = 256, seed: int = 7,

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from trgr.channel import (
     NoiseSpec,
@@ -20,11 +23,11 @@ from trgr.codebook import Codebook
 def two_tap_setup():
     grid = SubcarrierGrid(count=3)
     tau = 1.0 / (2 * 160e6)
-    direct = Taps([1.0, 1.0], [0.0, 0.0], [0.0, tau])
+    direct = Taps([1.0, 1.0], [0.0, tau])
     return grid, direct
 
 
-NO_TAPS = Taps([], [], [])
+NO_TAPS = Taps([], [])
 
 
 def small_ris(n: int, seed: int = 3) -> RisChannel:
@@ -37,45 +40,24 @@ def small_ris(n: int, seed: int = 3) -> RisChannel:
 
 
 class TestTaps:
-    def test_phase_wraps_into_principal_range(self):
-        taps = Taps([1.0], [5 * math.pi], [0.0])
-        assert 0.0 <= taps.phase[0] < 2 * math.pi
-        assert taps.phase[0] == pytest.approx(math.pi)
-
-    def test_negative_phase_wraps_up(self):
-        taps = Taps([1.0], [-math.pi / 2], [0.0])
-        assert taps.phase[0] == pytest.approx(1.5 * math.pi)
-
-    def test_negative_amplitude_rejected(self):
-        with pytest.raises(ValueError):
-            Taps([0.5, -0.1], [0.0, 0.0], [0.0, 0.0])
-
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
-            Taps([0.5], [0.0], [-1e-9])
+            Taps([0.5], [-1e-9])
 
     def test_non_finite_rejected(self):
-        for amp, phase, delay in [(math.nan, 0.0, 0.0), (1.0, math.inf, 0.0),
-                                  (1.0, 0.0, math.nan)]:
+        for gain, delay in [(math.nan, 0.0), (complex(1.0, math.inf), 0.0), (1.0, math.nan)]:
             with pytest.raises(ValueError):
-                Taps([amp], [phase], [delay])
+                Taps([gain], [delay])
 
     def test_unequal_lengths_rejected(self):
         with pytest.raises(ValueError):
-            Taps([1.0, 1.0], [0.0], [0.0, 0.0])
-
-    def test_phase_wrap_matches_scalar_fmod(self):
-        phases = np.array([-7.0, -1e-17, -0.0, 0.0, 1.0, 2 * math.pi, 13.5, -2 * math.pi])
-        taps = Taps(np.ones(phases.size), phases, np.zeros(phases.size))
-        for raw, wrapped in zip(phases, taps.phase):
-            p = math.fmod(raw, 2 * math.pi)
-            assert wrapped == (p + 2 * math.pi if p < 0.0 else p)
+            Taps([1.0, 1.0], [0.0])
 
     def test_arrays_are_read_only_copies(self):
-        amp = np.array([1.0, 2.0])
-        taps = Taps(amp, [0.0, 0.0], [0.0, 0.0])
-        amp[0] = 9.0
-        assert taps.amplitude[0] == 1.0
+        gain = np.array([1.0 + 1j, 2.0])
+        taps = Taps(gain, [0.0, 0.0])
+        gain[0] = 9.0
+        assert taps.gain[0] == 1.0 + 1j
         with pytest.raises(ValueError):
             taps.delay[0] = 1.0
 
@@ -144,12 +126,12 @@ class TestFrequencyResponse:
 
     def test_zero_delay_taps_add_coherently(self):
         grid = SubcarrierGrid(count=4)
-        taps = Taps([0.3, 0.7], [0.0, 0.0], [0.0, 0.0])
+        taps = Taps([0.3, 0.7], [0.0, 0.0])
         assert np.allclose(frequency_response(taps, grid), 1.0)
 
     def test_opposite_phases_cancel(self):
         grid = SubcarrierGrid(count=3)
-        taps = Taps([0.5, 0.5], [0.0, math.pi], [0.0, 0.0])
+        taps = Taps([0.5, 0.5 * np.exp(1j * math.pi)], [0.0, 0.0])
         assert np.abs(frequency_response(taps, grid)).max() < 1e-12
 
 
@@ -158,16 +140,16 @@ class TestCombinedTaps:
         _, direct = two_tap_setup()
         ris = small_ris(4)
         taps = combined_taps(direct, ris, Codebook.zeros(2, 2))
-        assert taps.amplitude.shape == (2 + 4,)
-        for field in ("amplitude", "phase", "delay"):
+        assert taps.gain.shape == (2 + 4,)
+        for field in ("gain", "delay"):
             assert np.array_equal(getattr(taps, field)[:2], getattr(direct, field))
         assert taps.delay[2:].tolist() == [30e-9] * 4
-        assert np.allclose(taps.amplitude[2:], np.abs(ris.tx_to_ris * ris.ris_to_rx))
+        assert np.array_equal(taps.gain[2:], ris.ris_to_rx * ris.tx_to_ris)
 
     def test_empty_ris_contributes_nothing(self):
         _, direct = two_tap_setup()
         taps = combined_taps(direct, RisChannel.empty(), Codebook.zeros(0, 0))
-        for field in ("amplitude", "phase", "delay"):
+        for field in ("gain", "delay"):
             assert np.array_equal(getattr(taps, field), getattr(direct, field))
 
     def test_codebook_size_must_match_elements(self):
@@ -205,8 +187,47 @@ class TestCombinedTaps:
         taps = combined_taps(direct, ris, Codebook(bits))
         base = combined_taps(direct, ris, Codebook.zeros(2, 2))
         for i in range(4):
-            delta = (taps.phase[i] - base.phase[i]) % (2 * math.pi)
-            assert delta == pytest.approx(math.pi if i == 1 else 0.0, abs=1e-12)
+            ratio = taps.gain[i] / base.gain[i]
+            assert ratio == pytest.approx(-1.0 if i == 1 else 1.0, abs=1e-12)
+
+
+def polar_response(amps, phases, delays, grid):
+    """Reference H[k] = sum_i a_i e^{j phi_i} e^{-j 2 pi f_k tau_i} from polar taps."""
+    steering = np.exp(-1j * 2 * np.pi * np.outer(delays, grid.frequencies()))
+    return (amps * np.exp(1j * phases)) @ steering
+
+
+@st.composite
+def links(draw):
+    """Polar direct taps, a surface of up to 4x4 elements, a codebook and a grid."""
+    m = draw(st.integers(0, 4))
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    n = rows * cols
+    element = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+    direct = tuple(draw(arrays(np.float64, m, elements=st.floats(lo, hi)))
+                   for lo, hi in ((0.0, 2.0), (-10.0, 10.0), (0.0, 200e-9)))
+    ris = RisChannel(draw(arrays(np.complex128, n, elements=element)),
+                     draw(arrays(np.complex128, n, elements=element)),
+                     draw(arrays(np.float64, n, elements=st.floats(0.0, 200e-9))))
+    bits = draw(arrays(np.uint8, (rows, cols), elements=st.integers(0, 1)))
+    return direct, ris, Codebook(bits), SubcarrierGrid(count=draw(st.integers(1, 8)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(link=links())
+def test_complex_taps_match_the_polar_reference(link):
+    (amps, phases, delays), ris, codebook, grid = link
+    taps = combined_taps(Taps(amps * np.exp(1j * phases), delays), ris, codebook)
+    # RIS tap n in polar form: |h_n||H_n| and arg h_n + arg H_n + theta_n
+    thetas = codebook.grid.reshape(-1) * np.pi
+    ref = polar_response(
+        np.concatenate([amps, np.abs(ris.tx_to_ris) * np.abs(ris.ris_to_rx)]),
+        np.concatenate([phases, np.angle(ris.tx_to_ris) + np.angle(ris.ris_to_rx) + thetas]),
+        np.concatenate([delays, ris.path_delays]), grid)
+    scale = np.sum(np.abs(taps.gain))
+    assert np.all(np.abs(frequency_response(taps, grid) - ref) <= 1e-12 * scale)
+    # the narrowband gain sums the very cascade the RIS taps carry
+    assert effective_gain(ris, codebook) == complex(np.sum(taps.gain[amps.size:]))
 
 
 class TestEffectiveGainAndSnr:

@@ -48,15 +48,18 @@ class TestConstruction:
     @example(grid=np.array([[0.7, 1.9]]), as_list=True)
     @example(grid=np.array([[2**70, 1]]), as_list=True)
     @example(grid=np.array([[True, False]]), as_list=False)
+    @example(grid=np.array([[1 + 0j]]), as_list=True)
+    @example(grid=np.array([[1 + 1j]]), as_list=True)
     def test_accepts_exactly_2d_grids_of_zeros_and_ones(self, grid, as_list):
         # the entries are checked as given, so none wraps into a bit on a cast
+        # and no complex entry loses its imaginary part
         if as_list:
             assume(0 not in grid.shape)  # nested empty lists lose their axes
         given_grid = grid.tolist() if as_list else grid
         if grid.ndim != 2:
             with pytest.raises(ValueError, match="must be 2-D"):
                 Codebook(given_grid)
-        elif np.all((grid == 0) | (grid == 1)):
+        elif grid.dtype.kind != "c" and np.all((grid == 0) | (grid == 1)):
             assert np.array_equal(Codebook(given_grid).grid, grid)
         else:
             with pytest.raises(ValueError, match="entries must be 0 or 1"):

@@ -1,4 +1,5 @@
 """Config resolution: defaults, seed derivation, overrides, manifests."""
+import copy
 import dataclasses
 import json
 import pickle
@@ -7,8 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import trgr.config
+from trgr.codebook import Codebook
 from trgr.config import (
     DEFAULTS,
     build_manifest,
@@ -52,7 +57,7 @@ class TestDefaults:
         assert (a.grid, a.noise, a.packet_count, a.wall_attenuation_db, a.dynamic_path_count) \
             == (b.grid, b.noise, b.packet_count, b.wall_attenuation_db, b.dynamic_path_count)
         # the scenario seed shows in the drawn channels
-        assert np.array_equal(a.direct.phase, b.direct.phase)
+        assert np.array_equal(a.direct.gain, b.direct.gain)
         assert np.array_equal(a.ris.tx_to_ris, b.ris.tx_to_ris)
 
     def test_every_seed_is_pinned(self):
@@ -67,7 +72,7 @@ class TestDefaults:
         assert a.dataset_seed == b.dataset_seed
         assert a.profiles == b.profiles
         assert a.scenario.noise == b.scenario.noise
-        for field in ("amplitude", "phase", "delay"):
+        for field in ("gain", "delay"):
             assert np.array_equal(getattr(a.scenario.direct, field),
                                   getattr(b.scenario.direct, field))
         assert np.array_equal(a.scenario.ris.tx_to_ris, b.scenario.ris.tx_to_ris)
@@ -215,6 +220,34 @@ def test_resolved_config_survives_pickle(path):
     back = pickle.loads(pickle.dumps(cfg))
     assert _same(back, cfg)
     assert back.scenario.ris.n_elements == cfg.ris_rows * cfg.ris_cols
+
+
+def _arrays(value):
+    """Every array held by a value, through dataclass fields and containers."""
+    if dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _arrays(getattr(value, f.name))
+    elif isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _arrays(item)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**63 - 1),
+       bits=arrays(np.uint8, st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                   elements=st.integers(0, 1)),
+       round_trip=st.sampled_from([lambda v: pickle.loads(pickle.dumps(v)),
+                                   copy.deepcopy, copy.copy]))
+def test_copies_stay_checked_and_read_only(seed, bits, round_trip):
+    # copies and unpickled values are rebuilt through their constructors
+    cfg = resolve_config({"seed": seed, "scenario": {"ris_rows": 3, "ris_cols": 4}})
+    for value in (cfg, cfg.scenario.direct, cfg.scenario.ris, Codebook(bits)):
+        back = round_trip(value)
+        assert _same(back, value)
+        held = list(_arrays(back))
+        assert held and not any(a.flags.writeable for a in held)
 
 
 class TestManifest:

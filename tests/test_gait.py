@@ -42,11 +42,12 @@ def make_profile(sid: int = 0, seed: int = 100) -> SubjectProfile:
 
 
 def dynamic_taps(profile: SubjectProfile, t: float, episode_seed: int,
-                 path_count: int = 6) -> Taps:
-    """The walker's taps t seconds into an episode, from the draws the render uses."""
+                 path_count: int = 6) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The walker's (amplitudes, phases, delays) t seconds into an episode,
+    from the draws the render uses."""
     delays, psi, doppler, phi0, base = _gait_draws(profile, episode_seed, path_count)
     amps = _envelopes(profile, psi, base, np.array([t]))[0]
-    return Taps(amps, phi0 + 2.0 * math.pi * doppler * t, delays)
+    return amps, phi0 + 2.0 * math.pi * doppler * t, delays
 
 
 def tiny_scenario(noise_variance: float = 0.0, wall_db: float = 40.0,
@@ -57,7 +58,7 @@ def tiny_scenario(noise_variance: float = 0.0, wall_db: float = 40.0,
         rng.standard_normal(n_ris) + 1j * rng.standard_normal(n_ris),
         np.full(n_ris, 40e-9),
     ) if n_ris else RisChannel.empty()
-    direct = Taps([0.8], [0.3], [10e-9])
+    direct = Taps([0.8 * np.exp(0.3j)], [10e-9])
     return ScenarioConfig(
         direct=direct,
         ris=ris,
@@ -120,44 +121,44 @@ class TestCsiRecording:
 
 class TestDynamicTaps:
     def test_path_count_and_delay_range(self):
-        taps = dynamic_taps(make_profile(), t=0.2, episode_seed=1, path_count=5)
-        assert taps.delay.shape == (5,)
+        amps, _, delays = dynamic_taps(make_profile(), t=0.2, episode_seed=1, path_count=5)
+        assert delays.shape == (5,)
         lo, hi = DYNAMIC_DELAY_RANGE_S
-        assert np.all((lo <= taps.delay) & (taps.delay <= hi))
-        assert np.all(taps.amplitude >= 0)
+        assert np.all((lo <= delays) & (delays <= hi))
+        assert np.all(amps >= 0)
 
     def test_deterministic_per_arguments(self):
         a = dynamic_taps(make_profile(), 0.3, episode_seed=2, path_count=4)
         b = dynamic_taps(make_profile(), 0.3, episode_seed=2, path_count=4)
-        for field in ("amplitude", "phase", "delay"):
-            assert np.array_equal(getattr(a, field), getattr(b, field))
+        for x, y in zip(a, b):
+            assert np.array_equal(x, y)
 
     def test_episodes_of_one_subject_share_delays_not_phases(self):
         p = make_profile()
-        e1 = dynamic_taps(p, 0.0, episode_seed=1, path_count=4)
-        e2 = dynamic_taps(p, 0.0, episode_seed=2, path_count=4)
-        assert np.array_equal(e1.delay, e2.delay)
-        assert not np.array_equal(e1.phase, e2.phase)
+        _, phases1, delays1 = dynamic_taps(p, 0.0, episode_seed=1, path_count=4)
+        _, phases2, delays2 = dynamic_taps(p, 0.0, episode_seed=2, path_count=4)
+        assert np.array_equal(delays1, delays2)
+        assert not np.array_equal(phases1, phases2)
 
     def test_different_subjects_get_different_delays(self):
-        e1 = dynamic_taps(make_profile(seed=100), 0.0, episode_seed=1, path_count=4)
-        e2 = dynamic_taps(make_profile(seed=101), 0.0, episode_seed=1, path_count=4)
-        assert not np.array_equal(e1.delay, e2.delay)
+        _, _, delays1 = dynamic_taps(make_profile(seed=100), 0.0, episode_seed=1, path_count=4)
+        _, _, delays2 = dynamic_taps(make_profile(seed=101), 0.0, episode_seed=1, path_count=4)
+        assert not np.array_equal(delays1, delays2)
 
     def test_doppler_rates_bounded_and_episode_stable(self):
         dt = 1e-3
         for sid, ep in [(0, 1), (0, 2), (1, 1), (2, 7)]:
             p = make_profile(sid, seed=100 + sid)
-            taps0 = dynamic_taps(p, 0.0, episode_seed=ep, path_count=4)
-            taps1 = dynamic_taps(p, dt, episode_seed=ep, path_count=4)
-            delta = (taps1.phase - taps0.phase + math.pi) % (2 * math.pi) - math.pi
+            _, phases0, _ = dynamic_taps(p, 0.0, episode_seed=ep, path_count=4)
+            _, phases1, _ = dynamic_taps(p, dt, episode_seed=ep, path_count=4)
+            delta = (phases1 - phases0 + math.pi) % (2 * math.pi) - math.pi
             doppler = delta / (2 * math.pi * dt)
             assert np.all(np.abs(doppler) <= MAX_DOPPLER_HZ + 1e-6)
 
     def test_amplitudes_stay_nonnegative_with_deep_modulation(self):
         p = dataclasses.replace(make_profile(), harmonic_weights=(2.0, 1.5))
         for t in np.linspace(0.0, 2.0, 17):
-            assert np.all(dynamic_taps(p, float(t), episode_seed=3, path_count=4).amplitude >= 0)
+            assert np.all(dynamic_taps(p, float(t), episode_seed=3, path_count=4)[0] >= 0)
 
 
 class TestDynamicCoupling:
@@ -195,7 +196,7 @@ class TestDynamicCoupling:
 
 def _attenuated(sc: ScenarioConfig) -> Taps:
     scale = 10 ** (-sc.wall_attenuation_db / 20.0)
-    return Taps(sc.direct.amplitude * scale, sc.direct.phase, sc.direct.delay)
+    return Taps(sc.direct.gain * scale, sc.direct.delay)
 
 
 class TestRenderRecording:
@@ -228,8 +229,9 @@ class TestRenderRecording:
         static = frequency_response(combined_taps(_attenuated(sc), sc.ris, cb), sc.grid)
         coupling = dynamic_coupling(sc)
         for row in range(sc.packet_count):
-            walker = dynamic_taps(p, row / sc.packets_per_second, episode_seed=6,
-                                  path_count=sc.dynamic_path_count)
+            amps, phases, delays = dynamic_taps(p, row / sc.packets_per_second, episode_seed=6,
+                                                path_count=sc.dynamic_path_count)
+            walker = Taps(amps * np.exp(1j * phases), delays)
             expected = np.abs(static + coupling * frequency_response(walker, sc.grid))
             assert np.allclose(rec.magnitudes[row], expected, rtol=1e-9, atol=1e-12)
 
