@@ -4,7 +4,13 @@ The architecture is fixed: a strided 3x3 stem, two residual blocks, then three
 conv/pool stages that squeeze the subcarrier axis down to a small feature map,
 a flatten, and one fully connected layer producing class logits.  Softmax is
 applied only by the loss and by `predict`, which scores as many frames per
-forward as keep the widest activation within `layers.TEMP_BYTES`.
+forward as keep the widest activation within `layers.TEMP_BYTES` (13 desk
+frames of 150x256).
+
+The network trains and scores in `DTYPE`, float32, the precision its
+checkpoint stores, so a checkpoint holds the trained state exactly and a
+loaded model scores as the trained one did.  Its layers default to float64,
+which the gradient suite checks them in.
 
 `shape_chain` walks the same stage table as the layer list to compute every
 output size for a given input frame (the construction-time shape check and
@@ -33,6 +39,9 @@ from .layers import (
     ResidualBlock,
     conv_output_size,
 )
+
+# the one dtype of the network's parameters, activations and stacked frames
+DTYPE = np.dtype(np.float32)
 
 CHECKPOINT_MAGIC = b"TRGRMDL"
 CHECKPOINT_VERSION = 1
@@ -97,7 +106,7 @@ class RcnnModel(Chain):
     parameters and checkpoint arrays run in layer order."""
 
     def __init__(self, frame_height: int, frame_width: int, class_count: int,
-                 seed: int = 0, dtype=np.float64):
+                 seed: int = 0, dtype=DTYPE):
         chain = shape_chain(frame_height, frame_width, class_count)
         self.frame_height = frame_height
         self.frame_width = frame_width
@@ -173,7 +182,7 @@ def save_model(model: RcnnModel, path) -> None:
         fh.write(table + values.tobytes())
 
 
-def load_model(path, dtype=np.float64) -> RcnnModel:
+def load_model(path) -> RcnnModel:
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _HEADER.size:
@@ -193,7 +202,7 @@ def load_model(path, dtype=np.float64) -> RcnnModel:
     fc_in = shape_chain(height, width, class_count)[-2][1][0]
     if 4 * fc_in * class_count > len(raw) - offset:
         raise ValueError("checkpoint truncated inside the parameter block")
-    model = RcnnModel(height, width, class_count, dtype=dtype)
+    model = RcnnModel(height, width, class_count)
     ends = np.cumsum([a.size for a in model.state()])
     if len(raw) - offset != 4 * ends[-1]:
         raise ValueError(f"checkpoint has {len(raw) - offset} parameter bytes, not {4 * ends[-1]}")

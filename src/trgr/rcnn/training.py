@@ -2,7 +2,11 @@
 
 Batch order is drawn from a generator seeded by the config, so a rerun with
 the same config, model seed, and data reproduces the exact same parameter
-trajectory.
+trajectory.  Frames are stacked, trained on and scored in the network's
+float32 `DTYPE`, the checkpoint's precision, so the saved checkpoint holds the
+trained state exactly; only the loss runs in float64, over the B x K logits,
+and the gradient suite checks the layers in float64.  Scoring runs through
+`RcnnModel.predict`, 13 desk frames per forward.
 """
 from __future__ import annotations
 
@@ -14,7 +18,7 @@ from typing import ClassVar
 import numpy as np
 
 from .metrics import Metrics, metrics_from_predictions
-from .model import RcnnModel, softmax
+from .model import DTYPE, RcnnModel
 
 
 @dataclass(frozen=True)
@@ -59,18 +63,25 @@ class Adam:
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean softmax cross-entropy and its gradient w.r.t. the logits."""
+    """Mean softmax cross-entropy and its gradient w.r.t. the logits, in the
+    logits' dtype.  Both are computed in float64, the loss as log-sum-exp
+    minus the picked logit, which stays finite however small the picked
+    class's probability."""
     n, k = logits.shape
     if labels.shape != (n,):
         raise ValueError("labels must be a vector matching the batch")
     if labels.min() < 0 or labels.max() >= k:
         raise ValueError(f"labels must lie in [0, {k})")
-    probs = softmax(logits)
-    picked = probs[np.arange(n), labels]
-    loss = float(-np.log(np.maximum(picked, 1e-300)).mean())
-    grad = probs
-    grad[np.arange(n), labels] -= 1.0
-    return loss, grad / n
+    shifted = logits.astype(np.float64)
+    shifted -= shifted.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    rows = np.arange(n)
+    loss = float((np.log(total[:, 0]) - shifted[rows, labels]).mean())
+    grad = e / total
+    grad[rows, labels] -= 1.0
+    grad /= n
+    return loss, grad.astype(logits.dtype, copy=False)
 
 
 @dataclass(frozen=True)
@@ -91,10 +102,11 @@ def write_training_log(logs, path) -> None:
 
 
 def recordings_to_arrays(recordings) -> tuple[np.ndarray, np.ndarray]:
-    """Stack recording magnitudes into a (N, 1, T, S) batch plus labels."""
+    """Stack recording magnitudes into a (N, 1, T, S) batch of the network's
+    dtype plus labels."""
     if not recordings:
         raise ValueError("no recordings to stack")
-    frames = np.stack([rec.magnitudes for rec in recordings])
+    frames = np.stack([rec.magnitudes for rec in recordings], dtype=DTYPE)
     labels = np.array([rec.label for rec in recordings], dtype=np.int64)
     return frames[:, None, :, :], labels
 

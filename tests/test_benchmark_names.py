@@ -59,4 +59,6 @@ def test_recordings_to_arrays_stacks_a_split(benchmarks_path):
     frames, labels = training.recordings_to_arrays(split.train)
     assert frames.shape == (len(split.train), 1, 6, 5)
     assert labels.tolist() == [rec.label for rec in split.train]
-    assert np.array_equal(frames[:, 0], [rec.magnitudes for rec in split.train])
+    # stacked in the network's float32
+    assert np.array_equal(frames[:, 0], [rec.magnitudes.astype(np.float32)
+                                         for rec in split.train])

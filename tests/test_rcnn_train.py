@@ -3,6 +3,7 @@ import csv
 import math
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +103,17 @@ class TestCrossEntropy:
         expected = softmax(logits)
         expected[np.arange(3), labels] -= 1.0
         assert np.allclose(grad, expected / 3.0, atol=1e-12)
+
+    def test_float32_logits_far_apart_give_a_finite_loss(self):
+        # the picked class's probability, e^-200, is 0 in float32: the loss is
+        # the log-sum-exp minus the picked logit, never the log of that 0
+        logits = np.array([[0.0, 200.0]], dtype=np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss, grad = cross_entropy(logits, np.array([0]))
+        assert loss == pytest.approx(200.0, rel=1e-12)
+        assert grad.dtype == np.float32
+        assert grad.tolist() == [[-1.0, 1.0]]
 
     def test_confident_correct_prediction_has_low_loss(self):
         logits = np.array([[20.0, 0.0, 0.0]])
@@ -299,6 +311,8 @@ class TestRecordingsToArrays:
         recs = toy_recordings(2, seed=1)
         frames, labels = recordings_to_arrays(recs)
         assert frames.shape == (4, 1, H, W)
+        assert frames.dtype == np.float32
+        assert np.array_equal(frames[:, 0], [rec.magnitudes.astype(np.float32) for rec in recs])
         assert labels.tolist() == [0, 1, 0, 1]
 
     def test_empty_rejected(self):
@@ -307,8 +321,8 @@ class TestRecordingsToArrays:
 
 
 class TestCheckpoint:
-    def make_model(self, k=3, seed=11) -> RcnnModel:
-        model = RcnnModel(H, W, k, seed=seed)
+    def make_model(self, k=3, seed=11, dtype=np.float32) -> RcnnModel:
+        model = RcnnModel(H, W, k, seed=seed, dtype=dtype)
         # move running stats off their defaults so their persistence is visible
         x = np.random.default_rng(1).standard_normal((4, 1, H, W))
         model.forward(x, training=True)
@@ -337,6 +351,16 @@ class TestCheckpoint:
             save_model(model, p1)
             save_model(load_model(p1), p2)
             assert p1.read_bytes() == p2.read_bytes()
+
+    def test_loaded_state_is_the_trained_state(self, tmp_path):
+        # the network trains in the checkpoint's float32, so it loses nothing
+        model = RcnnModel(H, W, 2, seed=4)
+        train(model, *toy_split(2, 2), TrainConfig(epochs=1, batch_size=4, seed=0))
+        path = tmp_path / "m.bin"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert [a.dtype for a in loaded.state()] == [np.float32] * len(model.state())
+        assert [a.tobytes() for a in loaded.state()] == [a.tobytes() for a in model.state()]
 
     def test_header_layout(self, tmp_path):
         model = self.make_model(k=4)
@@ -408,8 +432,9 @@ class TestCheckpoint:
     @pytest.mark.parametrize("value", [1e39, -1e39, np.inf, np.nan])
     @pytest.mark.parametrize("array", ["classifier bias", "running variance"])
     def test_state_not_finite_in_float32_is_not_saved(self, tmp_path, value, array):
-        # 1e39 is finite in float64 but overflows the checkpoint's float32
-        model = self.make_model()
+        # 1e39 is finite in float64 but overflows the checkpoint's float32; a
+        # float32 network could not even hold it
+        model = self.make_model(dtype=np.float64)
         target = model.layers[-1].b.data if array == "classifier bias" else model.layers[1].running_var
         target[0] = value
         path = tmp_path / "m.bin"
@@ -508,11 +533,11 @@ class TestInference:
         assert not np.shares_memory(out, x)
 
     # frames per forward: TEMP_BYTES over the widest activation, the stem's
-    # 8 channels, in float64 (8 x 74 x 127 x 8 B = 601 kB at desk width,
-    # 298 kB at 128, 19.4 MB at 8192)
+    # 8 channels, in float32 (8 x 74 x 127 x 4 B = 301 kB at desk width,
+    # 149 kB at 128, 9.7 MB at 8192)
     @pytest.mark.parametrize("width, frames, sizes", [
-        (256, 70, [6] * 11 + [4]),   # desk frames
-        (128, 18, [14, 4]),          # the largest TINY set
+        (256, 70, [13] * 5 + [5]),   # desk frames
+        (128, 18, [18]),             # the largest TINY set
         (8192, 3, [1, 1, 1]),        # the paper's frames
     ])
     def test_predict_chunk_is_set_by_frame_size(self, monkeypatch, width, frames, sizes):
@@ -607,7 +632,7 @@ class TestTemporaryBudget:
         # at the network's own sizes the blocks round as the one GEMM does, so
         # predict's forwards are bit for bit the unblocked ones
         model = RcnnModel(150, width, k, seed=2)
-        widest = 8 * 74 * ((width - 3) // 2 + 1) * 8  # the stem's float64 output
+        widest = 8 * 74 * ((width - 3) // 2 + 1) * model.dtype.itemsize  # the stem's output
         chunk = max(1, TEMP_BYTES // widest)
         frames = np.random.default_rng(3).standard_normal((chunk, 1, 150, width))
         blocked = model.forward(frames)
