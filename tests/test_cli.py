@@ -2,6 +2,7 @@
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -396,6 +397,29 @@ class TestEvaluate:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["error: checkpoint holds a non-finite parameter or running statistic"]
         assert not (tmp_path / "e").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_frame_fails_at_load(workspace, tmp_path, capsys, command, value):
+    # ReLU passes a NaN on, so the dataset's load-time check is what keeps a
+    # non-finite frame out of the network
+    data = bytearray((workspace["out"] / "dataset_ris_on.bin").read_bytes())
+    _, _, t, s, count = struct.unpack_from("<4sHIII", data)  # the 18-byte file header
+    record = 10 + 4 * t * s  # a (label, seed) head, then T x S float32
+    at = 18 + count // 2 * record + 10 + 4 * (t * s // 2)  # mid-frame, mid-file
+    data[at:at + 4] = np.array([value], dtype="<f4").tobytes()
+    dataset = tmp_path / "patched.bin"
+    dataset.write_bytes(bytes(data))
+    checkpoint = tmp_path / "model_in.bin"
+    save_model(RcnnModel(150, 128, 3), checkpoint)
+    extra = ["--model", str(checkpoint), "--split", "all"] * (command == "evaluate")
+    out = tmp_path / "run"
+    assert main([command, "--config", str(workspace["config"]), "--output", str(out),
+                 "--dataset", str(dataset), *extra]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == ["error: magnitudes must be finite"]
+    assert not (out / "model.bin").exists()
+    assert not list(out.glob("manifest_*.json"))
 
 
 class TestAblate:

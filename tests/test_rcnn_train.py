@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from trgr.gait import CsiRecording
 from trgr.rcnn.layers import (
     BN_EPS,
+    BN_MOMENTUM,
     TEMP_BYTES,
     BatchNorm2d,
     Conv2d,
@@ -157,6 +159,70 @@ class TestBatchNormInvariants:
         x = np.full((4, 1, 2, 2), 10.0)
         bn.forward(x, training=True)
         assert bn.running_mean[0] == pytest.approx(0.1 * 10.0)  # momentum 0.1
+
+    @settings(max_examples=150, deadline=None)
+    @given(b=st.integers(1, 3), c=st.integers(1, 4), h=st.integers(1, 6), w=st.integers(1, 6),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           offset=st.sampled_from([0.0, 1.0, -250.0, 1e4]),
+           scale=st.sampled_from([1e-3, 1.0, 3.0, 1e3]), seed=st.integers(0, 2**32 - 1))
+    def test_training_forward_keeps_numpys_statistics(self, b, c, h, w, dtype, offset, scale,
+                                                       seed):
+        rng = np.random.default_rng(seed)
+        x = (scale * rng.standard_normal((b, c, h, w)) + offset).astype(dtype)
+        bn = BatchNorm2d(c, dtype=dtype)
+        bn.gamma.data[...] = rng.uniform(0.5, 2.0, c)
+        bn.beta.data[...] = rng.standard_normal(c)
+        bn.running_mean[...] = rng.standard_normal(c)
+        bn.running_var[...] = rng.uniform(0.5, 2.0, c)
+        prior_mean, prior_var = bn.running_mean.copy(), bn.running_var.copy()
+        out = bn.forward(x, training=True)
+        # the reference: numpy's mean and var, then x minus the mean
+        mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
+        xhat = (x - mean.reshape(1, -1, 1, 1)) * inv_std.reshape(1, -1, 1, 1)
+        expected = bn.gamma.data.reshape(1, -1, 1, 1) * xhat + bn.beta.data.reshape(1, -1, 1, 1)
+        assert out.dtype == expected.dtype == dtype
+        assert out.tobytes() == expected.tobytes()
+        assert bn._cache[0].tobytes() == xhat.tobytes()
+        assert bn._cache[1].ravel().tobytes() == inv_std.tobytes()
+        for got, want in ((bn.running_mean, (1 - BN_MOMENTUM) * prior_mean + BN_MOMENTUM * mean),
+                          (bn.running_var, (1 - BN_MOMENTUM) * prior_var + BN_MOMENTUM * var)):
+            assert got.dtype == want.dtype == dtype
+            assert got.tobytes() == want.tobytes()
+        assert not np.shares_memory(out, x)
+
+
+def relu_inputs(dtype):
+    """Arrays of every non-NaN value, with signed zeros and infinities drawn often."""
+    width = np.dtype(dtype).itemsize * 8
+    elements = (st.floats(allow_nan=False, width=width)
+                | st.sampled_from([0.0, -0.0, np.inf, -np.inf]))
+    return arrays(dtype, array_shapes(min_dims=1, max_dims=4, max_side=5), elements=elements)
+
+
+class TestReLU:
+    # NaN is the one input on which the arithmetic form and the select differ:
+    # np.maximum propagates a NaN, where np.where(x > 0, x, 0.0) zeroed it.
+    # The dataset's load-time check keeps NaN out of the network.
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_relu_is_the_select_byte_for_byte(self, data, dtype, seed):
+        x = data.draw(relu_inputs(dtype))
+        kept = x.copy()
+        relu = ReLU()
+        expected = np.where(x > 0, x, 0.0)
+        for training in (False, True):
+            out = relu.forward(x, training)
+            assert out.dtype == expected.dtype == dtype
+            assert out.tobytes() == expected.tobytes()  # -0.0 comes out as +0.0
+            assert not np.shares_memory(out, x)
+        assert x.tobytes() == kept.tobytes()
+        # about half the gradients are negative, whose products with False are -0.0
+        grad = np.random.default_rng(seed).standard_normal(x.shape).astype(dtype)
+        dx = relu.backward(grad)
+        assert dx.dtype == dtype
+        assert dx.tobytes() == np.where(x > 0, grad, 0.0).tobytes()
 
 
 class TestTrainConfig:
