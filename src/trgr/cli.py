@@ -158,8 +158,6 @@ def _prepared_split(cfg: ExperimentConfig, dataset_path: Path):
 
 def _class_count(labels: list[int]) -> int:
     labels = sorted(set(labels))
-    if len(labels) < 2:
-        raise ValueError("training needs at least two classes")
     if labels != list(range(len(labels))):
         raise ValueError(f"labels must be 0..K-1, got {labels}")
     return len(labels)

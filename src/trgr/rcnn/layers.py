@@ -27,6 +27,9 @@ import math
 
 import numpy as np
 
+# the one dtype of the network's parameters, running statistics, activations
+# and stacked frames; every layer draws its weights in float64, then casts
+DTYPE = np.dtype(np.float32)
 BN_EPS = 1e-5       # BatchNorm variance floor
 BN_MOMENTUM = 0.1   # BatchNorm running-statistics update weight
 # bytes of one eval convolution's column block and of the widest activation
@@ -55,9 +58,9 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
     return out
 
 
-def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
+def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     bound = math.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, shape).astype(dtype)
+    return rng.uniform(-bound, bound, shape).astype(DTYPE)
 
 
 def _windows(x: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
@@ -105,12 +108,12 @@ class Chain(Layer):
 
 class Conv2d(Layer):
     def __init__(self, c_in: int, c_out: int, kernel, stride, padding,
-                 rng: np.random.Generator, dtype=np.float64):
+                 rng: np.random.Generator):
         self.c_in, self.c_out = c_in, c_out
         self.kernel, self.stride, self.padding = tuple(kernel), tuple(stride), tuple(padding)
         fan_in = c_in * kernel[0] * kernel[1]
-        self.w = Param(_kaiming_uniform(rng, (c_out, c_in, *kernel), fan_in, dtype))
-        self.b = Param(np.zeros(c_out, dtype=dtype))
+        self.w = Param(_kaiming_uniform(rng, (c_out, c_in, *kernel), fan_in))
+        self.b = Param(np.zeros(c_out, dtype=DTYPE))
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         b, c, h, w = x.shape
@@ -160,12 +163,12 @@ def _batch_mean(x: np.ndarray) -> np.ndarray:
 
 
 class BatchNorm2d(Layer):
-    def __init__(self, channels: int, dtype=np.float64):
+    def __init__(self, channels: int):
         self.channels = channels
-        self.gamma = Param(np.ones(channels, dtype=dtype))
-        self.beta = Param(np.zeros(channels, dtype=dtype))
-        self.running_mean = np.zeros(channels, dtype=dtype)
-        self.running_var = np.ones(channels, dtype=dtype)
+        self.gamma = Param(np.ones(channels, dtype=DTYPE))
+        self.beta = Param(np.zeros(channels, dtype=DTYPE))
+        self.running_mean = np.zeros(channels, dtype=DTYPE)
+        self.running_var = np.ones(channels, dtype=DTYPE)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         if training:
@@ -279,11 +282,10 @@ class Flatten(Layer):
 
 
 class Linear(Layer):
-    def __init__(self, in_features: int, out_features: int,
-                 rng: np.random.Generator, dtype=np.float64):
+    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
         self.in_features, self.out_features = in_features, out_features
-        self.w = Param(_kaiming_uniform(rng, (in_features, out_features), in_features, dtype))
-        self.b = Param(np.zeros(out_features, dtype=dtype))
+        self.w = Param(_kaiming_uniform(rng, (in_features, out_features), in_features))
+        self.b = Param(np.zeros(out_features, dtype=DTYPE))
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         self._cache = x if training else None
@@ -306,18 +308,16 @@ class ResidualBlock(Layer):
     the shortcut's are added onto them in place.  Parameters and checkpoint
     arrays run through the main path, then the shortcut."""
 
-    def __init__(self, channels: int, stride: int, rng: np.random.Generator,
-                 dtype=np.float64):
-        self.conv1 = Conv2d(channels, channels, (3, 3), (stride, stride), (1, 1), rng, dtype)
-        self.conv2 = Conv2d(channels, channels, (3, 3), (1, 1), (1, 1), rng, dtype)
-        self.main = Chain([self.conv1, BatchNorm2d(channels, dtype=dtype), ReLU(),
-                           self.conv2, BatchNorm2d(channels, dtype=dtype)])
+    def __init__(self, channels: int, stride: int, rng: np.random.Generator):
+        self.conv1 = Conv2d(channels, channels, (3, 3), (stride, stride), (1, 1), rng)
+        self.conv2 = Conv2d(channels, channels, (3, 3), (1, 1), (1, 1), rng)
+        self.main = Chain([self.conv1, BatchNorm2d(channels), ReLU(),
+                           self.conv2, BatchNorm2d(channels)])
         self.shortcut_conv = None
         self.shortcut = Chain()
         if stride != 1:
-            self.shortcut_conv = Conv2d(channels, channels, (1, 1), (stride, stride), (0, 0),
-                                        rng, dtype)
-            self.shortcut = Chain([self.shortcut_conv, BatchNorm2d(channels, dtype=dtype)])
+            self.shortcut_conv = Conv2d(channels, channels, (1, 1), (stride, stride), (0, 0), rng)
+            self.shortcut = Chain([self.shortcut_conv, BatchNorm2d(channels)])
         self.relu_out = ReLU()
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:

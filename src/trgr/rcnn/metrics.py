@@ -20,6 +20,14 @@ class Metrics:
     macro_f1: float
 
 
+def check_labels(labels: np.ndarray, class_count: int) -> None:
+    """Raise ValueError naming the lowest or highest label when either lies
+    outside [0, class_count); an empty set passes."""
+    for label in (np.min(labels, initial=0), np.max(labels, initial=0)):
+        if not 0 <= label < class_count:
+            raise ValueError(f"label {label} out of range for {class_count} classes")
+
+
 def metrics_from_predictions(y_true, y_pred, class_count: int) -> Metrics:
     y_true = np.asarray(y_true, dtype=np.int64)
     y_pred = np.asarray(y_pred, dtype=np.int64)
@@ -27,9 +35,8 @@ def metrics_from_predictions(y_true, y_pred, class_count: int) -> Metrics:
         raise ValueError("truth and prediction vectors must match")
     if y_true.size == 0:
         raise ValueError("cannot score an empty set")
-    for arr, what in ((y_true, "truth"), (y_pred, "prediction")):
-        if arr.min() < 0 or arr.max() >= class_count:
-            raise ValueError(f"{what} label out of range for {class_count} classes")
+    check_labels(y_true, class_count)
+    check_labels(y_pred, class_count)
 
     confusion = np.zeros((class_count, class_count), dtype=np.int64)
     np.add.at(confusion, (y_true, y_pred), 1)

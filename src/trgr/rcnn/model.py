@@ -7,10 +7,10 @@ applied only by the loss and by `predict`, which scores as many frames per
 forward as keep the widest activation within `layers.TEMP_BYTES` (13 desk
 frames of 150x256).
 
-The network trains and scores in `DTYPE`, float32, the precision its
+The network trains and scores in `layers.DTYPE`, float32, the precision its
 checkpoint stores, so a checkpoint holds the trained state exactly and a
-loaded model scores as the trained one did.  Its layers default to float64,
-which the gradient suite checks them in.
+loaded model scores as the trained one did.  Finite differences need float64:
+`tests/helpers.py` casts a built layer to it.
 
 `shape_chain` walks the same stage table as the layer list to compute every
 output size for a given input frame (the construction-time shape check and
@@ -28,6 +28,7 @@ import numpy as np
 
 from ..seeds import mix_seeds
 from .layers import (
+    DTYPE,
     TEMP_BYTES,
     BatchNorm2d,
     Chain,
@@ -39,9 +40,6 @@ from .layers import (
     ResidualBlock,
     conv_output_size,
 )
-
-# the one dtype of the network's parameters, activations and stacked frames
-DTYPE = np.dtype(np.float32)
 
 CHECKPOINT_MAGIC = b"TRGRMDL"
 CHECKPOINT_VERSION = 1
@@ -105,27 +103,27 @@ class RcnnModel(Chain):
     """The fixed residual CNN, parameterized by input frame size and K; its
     parameters and checkpoint arrays run in layer order."""
 
-    def __init__(self, frame_height: int, frame_width: int, class_count: int,
-                 seed: int = 0, dtype=DTYPE):
+    dtype = DTYPE
+
+    def __init__(self, frame_height: int, frame_width: int, class_count: int, seed: int = 0):
         chain = shape_chain(frame_height, frame_width, class_count)
         self.frame_height = frame_height
         self.frame_width = frame_width
         self.class_count = class_count
-        self.dtype = np.dtype(dtype)
         self.feature_count = chain[-2][1][0]
         rng = np.random.default_rng(mix_seeds(seed, 0x6D6F64656C))
         super().__init__()
         c_in = 1
         for _, kind, c_out, stride, padding in _STAGES:
             if kind == "conv":
-                conv = Conv2d(c_in, c_out, (3, 3), (stride, stride), (padding, padding), rng, dtype)
-                self.layers += [conv, BatchNorm2d(c_out, dtype=dtype), ReLU()]
+                conv = Conv2d(c_in, c_out, (3, 3), (stride, stride), (padding, padding), rng)
+                self.layers += [conv, BatchNorm2d(c_out), ReLU()]
             elif kind == "residual":
-                self.layers.append(ResidualBlock(c_out, stride=stride, rng=rng, dtype=dtype))
+                self.layers.append(ResidualBlock(c_out, stride=stride, rng=rng))
             else:
                 self.layers.append(MaxPool2d(stride))
             c_in = c_out
-        self.layers += [Flatten(), Linear(self.feature_count, class_count, rng, dtype)]
+        self.layers += [Flatten(), Linear(self.feature_count, class_count, rng)]
         # zero classifier head: a fresh model scores the uniform-softmax
         # baseline (loss ln K) before any updates
         self.layers[-1].w.data[...] = 0.0

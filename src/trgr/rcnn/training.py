@@ -3,10 +3,9 @@
 Batch order is drawn from a generator seeded by the config, so a rerun with
 the same config, model seed, and data reproduces the exact same parameter
 trajectory.  Frames are stacked, trained on and scored in the network's
-float32 `DTYPE`, the checkpoint's precision, so the saved checkpoint holds the
-trained state exactly; only the loss runs in float64, over the B x K logits,
-and the gradient suite checks the layers in float64.  Scoring runs through
-`RcnnModel.predict`, 13 desk frames per forward.
+float32 `layers.DTYPE`, the checkpoint's precision, so the saved checkpoint
+holds the trained state exactly; only the loss runs in float64, over the B x K
+logits.  Scoring runs through `RcnnModel.predict`, 13 desk frames per forward.
 """
 from __future__ import annotations
 
@@ -17,8 +16,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from .metrics import Metrics, metrics_from_predictions
-from .model import DTYPE, RcnnModel
+from .layers import DTYPE
+from .metrics import Metrics, check_labels, metrics_from_predictions
+from .model import RcnnModel
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,8 @@ class TrainConfig:
 class Adam:
     """Standard Adam with bias correction, one state pair per parameter."""
 
-    def __init__(self, params, learning_rate=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, learning_rate=1e-3, beta1=TrainConfig.beta1,
+                 beta2=TrainConfig.beta2, eps=TrainConfig.eps):
         self.params = list(params)
         self.learning_rate = learning_rate
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
@@ -70,8 +71,7 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
     n, k = logits.shape
     if labels.shape != (n,):
         raise ValueError("labels must be a vector matching the batch")
-    if labels.min() < 0 or labels.max() >= k:
-        raise ValueError(f"labels must lie in [0, {k})")
+    check_labels(labels, k)
     shifted = logits.astype(np.float64)
     shifted -= shifted.max(axis=1, keepdims=True)
     e = np.exp(shifted)
@@ -111,16 +111,9 @@ def recordings_to_arrays(recordings) -> tuple[np.ndarray, np.ndarray]:
     return frames[:, None, :, :], labels
 
 
-def _check_labels(model: RcnnModel, *label_sets: np.ndarray) -> None:
-    for labels in label_sets:
-        for label in (labels.min(), labels.max()):
-            if not 0 <= label < model.class_count:
-                raise ValueError(f"label {label} out of range for {model.class_count} classes")
-
-
 def evaluate(model: RcnnModel, frames: np.ndarray, labels: np.ndarray) -> Metrics:
     """Score a model on (N, 1, T, S) frames; the order of the set is irrelevant."""
-    _check_labels(model, labels)
+    check_labels(labels, model.class_count)
     return metrics_from_predictions(labels, model.predict(frames), model.class_count)
 
 
@@ -132,8 +125,9 @@ def train(model: RcnnModel, train_set, test_set,
     gradient norm is not finite, and at the first float overflow or invalid
     operation of an epoch."""
     x_train, y_train = train_set
-    _check_labels(model, y_train, test_set[1])
-    optimizer = Adam(model.parameters(), cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
+    for labels in (y_train, test_set[1]):
+        check_labels(labels, model.class_count)
+    optimizer = Adam(model.parameters(), cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed)
     n = x_train.shape[0]
     logs: list[EpochLog] = []

@@ -3,7 +3,9 @@
 Each trial builds a random small layer and input, computes analytic gradients
 through one forward/backward pass, then compares every parameter and input
 gradient against central finite differences of the scalar objective
-sum(forward(x) * G) for a fixed random G.
+sum(forward(x) * G) for a fixed random G.  The network's layers are built in
+float32, too coarse for finite differences, so each trial casts its layer to
+float64 with `as_dtype`.
 """
 from __future__ import annotations
 
@@ -13,12 +15,31 @@ from trgr.rcnn.layers import (
     BatchNorm2d,
     Conv2d,
     Flatten,
+    Layer,
     Linear,
     MaxPool2d,
     ReLU,
     ResidualBlock,
 )
 from trgr.rcnn.training import cross_entropy
+
+
+def as_dtype(layer: Layer, dtype) -> Layer:
+    """Cast a built layer's parameters, their gradients and the running
+    statistics of every BatchNorm inside it to `dtype`, in place; returns
+    the layer."""
+    for param in layer.parameters():
+        param.data = param.data.astype(dtype)
+        param.grad = param.grad.astype(dtype)
+    pending = [layer]
+    while pending:
+        sub = pending.pop()
+        if isinstance(sub, BatchNorm2d):
+            sub.running_mean = sub.running_mean.astype(dtype)
+            sub.running_var = sub.running_var.astype(dtype)
+        pending += [v for v in vars(sub).values() if isinstance(v, Layer)]
+        pending += getattr(sub, "layers", [])
+    return layer
 
 
 def numeric_grad(f, arr: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -83,7 +104,7 @@ def conv_trial(rng: np.random.Generator) -> float:
     if h < 1 or w < 1:
         return conv_trial(rng)
     c_in, c_out, b = rng.integers(1, 4), rng.integers(1, 4), rng.integers(1, 4)
-    layer = Conv2d(c_in, c_out, (kh, kw), (sh, sw), (ph, pw), rng)
+    layer = as_dtype(Conv2d(c_in, c_out, (kh, kw), (sh, sw), (ph, pw), rng), np.float64)
     x = rng.standard_normal((b, c_in, h, w))
     return _check_layer(layer, x, rng)
 
@@ -91,7 +112,7 @@ def conv_trial(rng: np.random.Generator) -> float:
 def batchnorm_trial(rng: np.random.Generator) -> float:
     c = rng.integers(1, 4)
     b, h, w = rng.integers(2, 5), rng.integers(1, 4), rng.integers(2, 5)
-    layer = BatchNorm2d(int(c))
+    layer = as_dtype(BatchNorm2d(int(c)), np.float64)
     layer.gamma.data = rng.uniform(0.5, 1.5, c)
     layer.beta.data = rng.standard_normal(c)
     x = rng.standard_normal((b, c, h, w))
@@ -120,7 +141,7 @@ def flatten_trial(rng: np.random.Generator) -> float:
 
 def linear_trial(rng: np.random.Generator) -> float:
     n_in, n_out, b = rng.integers(1, 8), rng.integers(1, 6), rng.integers(1, 5)
-    layer = Linear(int(n_in), int(n_out), rng)
+    layer = as_dtype(Linear(int(n_in), int(n_out), rng), np.float64)
     x = rng.standard_normal((b, n_in))
     return _check_layer(layer, x, rng)
 
@@ -130,7 +151,7 @@ def residual_trial(rng: np.random.Generator) -> float:
     stride = int(rng.integers(1, 3))
     b = int(rng.integers(2, 4))
     h, w = int(rng.integers(2, 6)), int(rng.integers(2, 6))
-    layer = ResidualBlock(c, stride, rng)
+    layer = as_dtype(ResidualBlock(c, stride, rng), np.float64)
     x = rng.standard_normal((b, c, h, w))
     return _check_layer(layer, x, rng)
 

@@ -14,7 +14,8 @@ import pytest
 import trgr.cli
 from trgr.cli import main
 from trgr.config import ExperimentConfig
-from trgr.pipeline import load_dataset
+from trgr.gait import CsiRecording
+from trgr.pipeline import load_dataset, save_dataset
 from trgr.rcnn.model import RcnnModel, load_model, save_model
 
 TINY = {
@@ -330,6 +331,22 @@ class TestTrain:
         assert [str(w.message) for w in caught] == []
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: training diverged in epoch 1:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("labels, line", [
+        ([0], "error: need at least two classes"),
+        ([0, 2], "error: labels must be 0..K-1, got [0, 2]"),
+    ])
+    def test_unusable_class_set_fails_with_one_line(self, tmp_path, capsys, labels, line):
+        # three recordings per class, the fewest a split accepts
+        rng = np.random.default_rng(0)
+        dataset = tmp_path / "handmade.bin"
+        save_dataset(dataset, [CsiRecording(rng.uniform(0.5, 1.5, (150, 128)), label, i)
+                               for i, label in enumerate(labels * 3)])
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, out)
+        assert main(["train", "--config", str(cfg), "--dataset", str(dataset)]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [line]
         assert not out.exists()
 
     def test_damaged_dataset_fails_with_one_line_error(self, workspace, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Loss, optimizer, batchnorm invariants, the training loop, and checkpoints."""
 import csv
+import importlib
+import inspect
 import math
 import tempfile
 import tracemalloc
@@ -12,10 +14,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from helpers import as_dtype
 from trgr.gait import CsiRecording
 from trgr.rcnn.layers import (
     BN_EPS,
     BN_MOMENTUM,
+    DTYPE,
     TEMP_BYTES,
     BatchNorm2d,
     Conv2d,
@@ -169,7 +173,7 @@ class TestBatchNormInvariants:
                                                        seed):
         rng = np.random.default_rng(seed)
         x = (scale * rng.standard_normal((b, c, h, w)) + offset).astype(dtype)
-        bn = BatchNorm2d(c, dtype=dtype)
+        bn = as_dtype(BatchNorm2d(c), dtype)
         bn.gamma.data[...] = rng.uniform(0.5, 2.0, c)
         bn.beta.data[...] = rng.standard_normal(c)
         bn.running_mean[...] = rng.standard_normal(c)
@@ -273,6 +277,11 @@ class TestAdam:
                 opt.step()
             results.append(p.data.copy())
         assert np.array_equal(results[0], results[1])
+
+    def test_defaults_are_the_train_configs_constants(self):
+        opt = Adam([Param(np.zeros(2))])
+        assert (opt.beta1, opt.beta2, opt.eps) == (TrainConfig.beta1, TrainConfig.beta2,
+                                                   TrainConfig.eps)
 
 
 class TestTrainLoop:
@@ -387,8 +396,8 @@ class TestRecordingsToArrays:
 
 
 class TestCheckpoint:
-    def make_model(self, k=3, seed=11, dtype=np.float32) -> RcnnModel:
-        model = RcnnModel(H, W, k, seed=seed, dtype=dtype)
+    def make_model(self, k=3, seed=11) -> RcnnModel:
+        model = RcnnModel(H, W, k, seed=seed)
         # move running stats off their defaults so their persistence is visible
         x = np.random.default_rng(1).standard_normal((4, 1, H, W))
         model.forward(x, training=True)
@@ -499,8 +508,8 @@ class TestCheckpoint:
     @pytest.mark.parametrize("array", ["classifier bias", "running variance"])
     def test_state_not_finite_in_float32_is_not_saved(self, tmp_path, value, array):
         # 1e39 is finite in float64 but overflows the checkpoint's float32; a
-        # float32 network could not even hold it
-        model = self.make_model(dtype=np.float64)
+        # float32 network could not even hold it, so the model is cast
+        model = as_dtype(self.make_model(), np.float64)
         target = model.layers[-1].b.data if array == "classifier bias" else model.layers[1].running_var
         target[0] = value
         path = tmp_path / "m.bin"
@@ -519,6 +528,28 @@ class TestResidualIdentity:
         x = rng.standard_normal((2, 2, 5, 5))
         out = block.forward(x, training=True)
         assert np.allclose(out, np.maximum(x, 0.0), atol=1e-12)
+
+
+class TestOneDtype:
+    @pytest.mark.parametrize("module", ["layers", "model", "training", "metrics"])
+    def test_no_constructor_takes_a_dtype(self, module):
+        module = importlib.import_module(f"trgr.rcnn.{module}")
+        classes = [cls for cls in vars(module).values()
+                   if inspect.isclass(cls) and cls.__module__ == module.__name__]
+        assert classes
+        for cls in classes:
+            assert "dtype" not in inspect.signature(cls).parameters, cls.__name__
+
+    def test_an_epoch_on_float64_frames_keeps_every_array_in_the_one_dtype(self):
+        assert importlib.import_module("trgr.rcnn.model").DTYPE is DTYPE
+        assert RcnnModel.dtype is DTYPE
+        (x, y), (tx, ty) = toy_split(train_per_class=2, test_per_class=2)
+        model = RcnnModel(H, W, 2, seed=4)
+        train(model, (x.astype(np.float64), y), (tx.astype(np.float64), ty),
+              TrainConfig(epochs=1, batch_size=4, seed=0))
+        # state() holds every parameter and BatchNorm running statistic
+        arrays = model.state() + [p.grad for p in model.parameters()]
+        assert {a.dtype for a in arrays} == {DTYPE}
 
 
 # the layer kinds that keep backward state; each keeps it in `_cache`
@@ -670,7 +701,7 @@ class TestTemporaryBudget:
         oh, ow = (h + 2 * ph - kh) // sh + 1, (w + 2 * pw - kw) // sw + 1
         rows = data.draw(st.sampled_from([r for r in range(1, oh) if oh % r]))
         rng = np.random.default_rng(seed)
-        conv = Conv2d(c_in, c_out, (kh, kw), (sh, sw), (ph, pw), rng, dtype)
+        conv = as_dtype(Conv2d(c_in, c_out, (kh, kw), (sh, sw), (ph, pw), rng), dtype)
         conv.b.data[...] = rng.standard_normal(c_out)
         x = rng.standard_normal((b, c_in, h, w)).astype(dtype)
         row_bytes = b * c_in * kh * kw * ow * np.dtype(dtype).itemsize
@@ -710,7 +741,7 @@ class TestTemporaryBudget:
            dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1))
     def test_batchnorm_backward_is_the_textbook_expression(self, b, c, h, w, dtype, seed):
         rng = np.random.default_rng(seed)
-        bn = BatchNorm2d(c, dtype=dtype)
+        bn = as_dtype(BatchNorm2d(c), dtype)
         bn.gamma.data[...] = rng.uniform(0.5, 2.0, c)
         bn.forward((3 * rng.standard_normal((b, c, h, w)) + 1).astype(dtype), training=True)
         grad = rng.standard_normal((b, c, h, w)).astype(dtype)
