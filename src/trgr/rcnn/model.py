@@ -138,6 +138,19 @@ class RcnnModel(Chain):
             )
         return super().forward(batch.astype(self.dtype, copy=False), training)
 
+    def backward(self, grad: np.ndarray) -> None:
+        """Write every parameter gradient from the loss gradient of the
+        logits: the layers after the stem walk back as a chain, then the stem
+        convolution writes its weight and bias gradients only, so the
+        gradient with respect to the frames, which nothing reads, is never
+        formed.  Each convolution's weight gradient is one GEMM per frame
+        over its cached im2col columns, summed over the batch: one
+        `tensordot` over batch and position copied the whole column matrix
+        first, 43.6 MB per residual conv at 150x8192 and B=2."""
+        for layer in reversed(self.layers[1:]):
+            grad = layer.backward(grad)
+        self.layers[0].parameter_backward(grad)
+
     def predict(self, batch: np.ndarray) -> np.ndarray:
         """Class indices: softmax then argmax, as many frames per forward as
         keep the widest activation of `shape_chain` within TEMP_BYTES (at

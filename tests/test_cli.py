@@ -195,8 +195,8 @@ def test_desk_datasets_match_golden_digests(tmp_path):
 # `trgr evaluate --split all` on its checkpoint; refactors of the network, the
 # training loop, the scoring or the checkpoint format must keep these bytes.
 TINY_TRAIN_SHA256 = {
-    "model.bin": "5790dce90066c5d30d9772d675a9326618b8f07730911467f5cae52bc38c8952",
-    "training_log.csv": "8367ac96ae2337530cbbcc404e23e4340c1e1b905b78c393f7d81cac350dbfa9",
+    "model.bin": "4861ff91aade4657d6a4acc3c42761592dc802a14412ba799fd953998efc71fd",
+    "training_log.csv": "d78b689d772cf2242b2286781bddf9ae4125fc57a5a2c325bdb2a35feec6c768",
     "metrics.json": "34120625166b94fd88eeb3905ed77d5e65ba8d09deacc733b2b88920e3c4e0b7",
     "eval_metrics.json": "adfd6a87dfcffa661433b9df3a03a63ff9b54babe9989f3e7648aed2525c68cf",
 }

@@ -3,6 +3,9 @@ import csv
 import importlib
 import inspect
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -10,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -22,6 +25,7 @@ from trgr.rcnn.layers import (
     DTYPE,
     TEMP_BYTES,
     BatchNorm2d,
+    Chain,
     Conv2d,
     Flatten,
     Linear,
@@ -750,3 +754,101 @@ class TestTemporaryBudget:
         for got, want in zip((bn.gamma.grad, bn.beta.grad, dx), expected):
             assert got.dtype == want.dtype == dtype
             assert got.tobytes() == want.tobytes()
+
+
+def columns_backward(conv: Conv2d, grad: np.ndarray):
+    """From a training forward's cached columns: the weight gradient in
+    float64 as one tensordot over batch and position, with the bound
+    n * eps32 * sum|g| |cols| of a float32 sum of its n = B*L products, then
+    the bias and input gradients as the layer forms them, the input gradient
+    scattered tap by tap in the layer's order."""
+    cols, padded_shape = conv._cache
+    b, c_out, oh, ow = grad.shape
+    (kh, kw), (sh, sw), (ph, pw) = conv.kernel, conv.stride, conv.padding
+    g_mat = grad.reshape(b, c_out, oh * ow)
+    g64, cols64 = g_mat.astype(np.float64), cols.astype(np.float64)
+    w_grad = np.tensordot(g64, cols64, axes=([0, 2], [0, 2])).reshape(conv.w.data.shape)
+    bound = (b * oh * ow * np.finfo(np.float32).eps
+             * np.tensordot(np.abs(g64), np.abs(cols64), axes=([0, 2], [0, 2])))
+    dcols = (conv.w.data.reshape(c_out, -1).T @ g_mat).reshape(b, conv.c_in, kh, kw, oh, ow)
+    dxp = np.zeros(padded_shape, dtype=dcols.dtype)
+    for i, j in np.ndindex(kh, kw):
+        dxp[:, :, i:i + sh * (oh - 1) + 1:sh, j:j + sw * (ow - 1) + 1:sw] += dcols[:, :, i, j]
+    dx = dxp[:, :, ph:padded_shape[2] - ph, pw:padded_shape[3] - pw]
+    return w_grad, bound.reshape(conv.w.data.shape), grad.sum(axis=(0, 2, 3)), dx
+
+
+# one desk training step at B=8 with a nonzero classifier head, printing the
+# sha256 of every parameter gradient
+DESK_STEP = """
+import hashlib
+import numpy as np
+from trgr.rcnn.model import RcnnModel
+from trgr.rcnn.training import cross_entropy
+rng = np.random.default_rng(7)
+model = RcnnModel(150, 256, 4, seed=3)
+head = model.layers[-1].w.data
+head[...] = rng.standard_normal(head.shape)
+frames = rng.standard_normal((8, 1, 150, 256))
+_, grad = cross_entropy(model.forward(frames, training=True), np.arange(8) % 4)
+model.backward(grad)
+print(hashlib.sha256(b"".join(p.grad.tobytes() for p in model.parameters())).hexdigest())
+"""
+
+
+class TestConvBackward:
+    @settings(max_examples=150, deadline=None)
+    @given(b=st.integers(1, 8), c_in=st.integers(1, 3), c_out=st.integers(1, 8),
+           kh=st.integers(1, 3), kw=st.integers(1, 3), sh=st.integers(1, 2),
+           sw=st.integers(1, 2), ph=st.integers(0, 1), pw=st.integers(0, 1),
+           h=st.integers(1, 40), w=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+    # the network's stem: one input channel, 3x3, stride 2, no padding
+    @example(b=8, c_in=1, c_out=8, kh=3, kw=3, sh=2, sw=2, ph=0, pw=0, h=40, w=64, seed=0)
+    def test_weight_gradient_is_the_sum_over_batch_and_position(self, b, c_in, c_out, kh, kw,
+                                                                sh, sw, ph, pw, h, w, seed):
+        assume(h + 2 * ph >= kh and w + 2 * pw >= kw)
+        rng = np.random.default_rng(seed)
+        conv = Conv2d(c_in, c_out, (kh, kw), (sh, sw), (ph, pw), rng)
+        out = conv.forward(rng.standard_normal((b, c_in, h, w)).astype(DTYPE), training=True)
+        grad = rng.standard_normal(out.shape).astype(DTYPE)
+        w_grad, bound, b_grad, dx = columns_backward(conv, grad)
+        got_dx = conv.backward(grad)
+        assert conv.w.grad.shape == w_grad.shape
+        assert conv.w.grad.dtype == conv.b.grad.dtype == got_dx.dtype == DTYPE
+        assert np.all(np.abs(conv.w.grad - w_grad) <= bound)
+        assert conv.b.grad.tobytes() == b_grad.tobytes()
+        assert got_dx.tobytes() == dx.tobytes()
+
+    def test_model_backward_stops_at_the_stem_parameters(self):
+        (x, y), _ = toy_split(train_per_class=2)
+        model, twin = RcnnModel(H, W, 2, seed=4), RcnnModel(H, W, 2, seed=4)
+        for m in (model, twin):
+            # one update gives the zeroed classifier head weights, so every
+            # layer below it gets a nonzero gradient
+            training_step(m, x, y)
+            Adam(m.parameters(), learning_rate=0.01).step()
+
+        def unreachable(grad):
+            raise AssertionError("the stem's input gradient was formed")
+
+        model.layers[0].backward = unreachable
+        training_step(model, x, y)
+        _, grad = cross_entropy(twin.forward(x, training=True), y)
+        Chain.backward(twin, grad)
+        assert np.any(model.layers[0].w.grad != 0)
+        for p, q in zip(model.parameters(), twin.parameters()):
+            assert p.grad.tobytes() == q.grad.tobytes()
+
+    def test_desk_step_does_not_depend_on_the_blas_thread_count(self):
+        # each frame's weight-gradient GEMM sums over the frame's positions,
+        # 9,398 at the stem; the TINY config's frames are narrower
+        src = str(Path(importlib.import_module("trgr").__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            res = subprocess.run([sys.executable, "-c", DESK_STEP], env=env,
+                                 capture_output=True, text=True, timeout=600)
+            assert res.returncode == 0, res.stderr
+            digests.append(res.stdout)
+        assert digests[0] == digests[1]
