@@ -27,9 +27,19 @@ gradient, which `RcnnModel.backward` never asks of the stem.
 `TEMP_BYTES` caps the scratch of inference: an eval convolution runs its
 im2col GEMM one block of output rows at a time, and `RcnnModel.predict` sizes
 its chunks by it.
+
+`folded()` gives the layer an eval forward runs, after dropping the layer's
+training cache; a chain folds each BatchNorm2d that follows a Conv2d into that
+convolution (Jacob et al., CVPR 2018, section 3.2), because BatchNorm took
+about a quarter of an eval forward.  `BatchNorm2d.affine` is the one
+definition of BatchNorm's eval map, a per-channel scale and shift in float64
+from gamma, beta, the running statistics and BN_EPS.  BatchNorm's own eval
+forward applies it, and `BatchNorm2d.fold` builds a new Conv2d with weights
+times scale and bias times scale plus shift, both cast to DTYPE.
 """
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -89,6 +99,11 @@ class Layer:
         """The arrays a checkpoint persists, in checkpoint order."""
         return [p.data for p in self.parameters()]
 
+    def folded(self) -> Layer:
+        """The layer an eval forward runs, with this one's training cache dropped."""
+        self._cache = None
+        return self
+
 
 class Chain(Layer):
     """Layers run in order, backward in reverse; an empty chain is the identity."""
@@ -111,6 +126,17 @@ class Chain(Layer):
 
     def state(self) -> list[np.ndarray]:
         return [a for layer in self.layers for a in layer.state()]
+
+    def folded(self) -> Chain:
+        """A new chain of the folded layers: each BatchNorm2d that follows a
+        Conv2d is folded into it."""
+        layers = []
+        for layer in self.layers:
+            if isinstance(layer, BatchNorm2d) and layers and isinstance(layers[-1], Conv2d):
+                layers[-1] = layer.fold(layers[-1])
+            else:
+                layers.append(layer.folded())
+        return Chain(layers)
 
 
 class Conv2d(Layer):
@@ -186,23 +212,39 @@ class BatchNorm2d(Layer):
         self.running_var = np.ones(channels, dtype=DTYPE)
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if training:
-            # numpy's own mean and var steps, sharing the centred array
-            mean = _batch_mean(x)
-            xhat = x - mean
-            var = _batch_mean(np.square(xhat))
-            self.running_mean = (1 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mean.ravel()
-            self.running_var = (1 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * var.ravel()
-        else:
-            var = self.running_var
-            xhat = x - self.running_mean.reshape(1, -1, 1, 1)
+        if not training:
+            self._cache = None
+            dtype = np.result_type(x, self.gamma.data)
+            scale, shift = (a.astype(dtype).reshape(1, -1, 1, 1) for a in self.affine())
+            out = x * scale
+            return np.add(out, shift, out=out)
+        # numpy's own mean and var steps, sharing the centred array
+        mean = _batch_mean(x)
+        xhat = x - mean
+        var = _batch_mean(np.square(xhat))
+        self.running_mean = (1 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mean.ravel()
+        self.running_var = (1 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * var.ravel()
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        # in place: two fresh arrays per call instead of four, so an eval
-        # forward, which keeps nothing, churns the allocator less
         xhat *= inv_std.reshape(1, -1, 1, 1)
-        self._cache = (xhat, inv_std) if training else None
+        self._cache = (xhat, inv_std)
         out = self.gamma.data.reshape(1, -1, 1, 1) * xhat
         return np.add(out, self.beta.data.reshape(1, -1, 1, 1), out=out)
+
+    def affine(self) -> tuple[np.ndarray, np.ndarray]:
+        """The eval map out = scale * x + shift, per channel in float64, from
+        gamma, beta and the running statistics."""
+        scale = self.gamma.data / np.sqrt(self.running_var.astype(np.float64) + BN_EPS)
+        return scale, self.beta.data - self.running_mean * scale
+
+    def fold(self, conv: Conv2d) -> Conv2d:
+        """A new Conv2d whose forward is this layer's eval forward of `conv`'s:
+        weights times scale, bias times scale plus shift, both cast to DTYPE."""
+        self._cache = None
+        scale, shift = self.affine()
+        folded = copy.copy(conv.folded())
+        folded.w = Param((conv.w.data * scale.reshape(-1, 1, 1, 1)).astype(DTYPE))
+        folded.b = Param((conv.b.data * scale + shift).astype(DTYPE))
+        return folded
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         xhat, inv_std = self._cache
@@ -351,3 +393,12 @@ class ResidualBlock(Layer):
 
     def state(self) -> list[np.ndarray]:
         return self.main.state() + self.shortcut.state()
+
+    def folded(self) -> ResidualBlock:
+        """A new block whose main path and shortcut are folded chains."""
+        block = copy.copy(self)
+        block.main, block.shortcut = self.main.folded(), self.shortcut.folded()
+        block.conv1, _, block.conv2 = block.main.layers
+        block.shortcut_conv = block.shortcut.layers[0] if block.shortcut.layers else None
+        block.relu_out = self.relu_out.folded()
+        return block

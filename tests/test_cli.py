@@ -416,6 +416,26 @@ class TestEvaluate:
         assert not (tmp_path / "e").exists()
 
 
+    @pytest.mark.parametrize("where", ["stem", "shortcut"])
+    def test_negative_running_variance_fails_with_one_line(self, workspace, tmp_path, capsys,
+                                                           where):
+        # sqrt(running_var + BN_EPS) of it is NaN: scoring went on with
+        # numpy's RuntimeWarning and a chance accuracy, and exited 0
+        model = RcnnModel(150, 128, 3)
+        block = model.layers[3]  # res_block1, whose shortcut is a 1x1 conv plus BatchNorm
+        bn = model.layers[1] if where == "stem" else block.shortcut.layers[1]
+        bn.running_var[-1] = -1.0
+        save_model(model, tmp_path / "model.bin")
+        out = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["evaluate", "--config", str(workspace["config"]), "--output", str(out),
+                         "--dataset", str(workspace["out"] / "dataset_ris_on.bin"),
+                         "--model", str(tmp_path / "model.bin"), "--split", "all"]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: checkpoint holds a negative BatchNorm running variance"]
+        assert not out.exists()
+
 @pytest.mark.parametrize("command", ["train", "evaluate"])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_non_finite_frame_fails_at_load(workspace, tmp_path, capsys, command, value):
