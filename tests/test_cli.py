@@ -13,7 +13,7 @@ import pytest
 
 import trgr.cli
 from trgr.cli import main
-from trgr.config import ExperimentConfig
+from trgr.config import ExperimentConfig, load_config
 from trgr.gait import CsiRecording
 from trgr.pipeline import load_dataset, save_dataset
 from trgr.rcnn.model import RcnnModel, load_model, save_model
@@ -185,10 +185,38 @@ DESK_DATASET_SHA256 = {
 }
 
 
-def test_desk_datasets_match_golden_digests(tmp_path):
-    assert main(["generate", "--config", str(DESK_CONFIG), "--output", str(tmp_path)]) == 0
+@pytest.fixture(scope="module")
+def desk_out(tmp_path_factory):
+    """The directory `trgr generate --config configs/desk.json` wrote into."""
+    out = tmp_path_factory.mktemp("desk")
+    assert main(["generate", "--config", str(DESK_CONFIG), "--output", str(out)]) == 0
+    return out
+
+
+def test_desk_datasets_match_golden_digests(desk_out):
     for name, digest in DESK_DATASET_SHA256.items():
-        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+        assert hashlib.sha256((desk_out / name).read_bytes()).hexdigest() == digest, name
+
+
+# sha256 of the desk ris_on dataset smoothed, standardized and split, as
+# `train` and `evaluate` feed it to the network; a faster prepare must keep
+# these bytes and this split order.
+DESK_PREPARED_SHA256 = {
+    "train frames": "62c886bebd8d738dc910fc5cafe22652661f58cc66d44adfd40cf462a93bafa7",
+    "train labels": "4f9fca9506feb193bfd97f8fde91051d1cd664be35aabba3c71bb59c4b182e29",
+    "test frames": "396a498183162ca9fa6e9e897e6026f85d89eda040652ce50b80d6a0b9e1daf6",
+    "test labels": "fe254d11a8ba9aa00446f6a78ac79a0ae3ab2686ce31999fb1bb693f1d534986",
+}
+
+
+def test_desk_prepared_split_matches_golden_digests(desk_out):
+    cfg = load_config(DESK_CONFIG)
+    prepared = trgr.cli._prepared_split(cfg, desk_out / "dataset_ris_on.bin")
+    for part, (frames, labels) in zip(("train", "test"), prepared):
+        assert frames.dtype == np.float32 and labels.dtype == np.int64
+        for what, array in (("frames", frames), ("labels", labels)):
+            digest = hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+            assert digest == DESK_PREPARED_SHA256[f"{part} {what}"], f"{part} {what}"
 
 
 # sha256 of a 2-epoch `trgr train` on the TINY config's ris_on dataset and of
