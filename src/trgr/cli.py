@@ -38,9 +38,20 @@ from .config import (
     write_json,
 )
 from .gait import generate_dataset
-from .pipeline import denoise_recording, load_dataset, normalize, save_dataset, split_dataset
+# the per-record names are unused here, but benchmarks/tracing.py patches them
+# on this module and the full-geometry and desk-synth workloads call them
+from .pipeline import (
+    denoise_recording,
+    load_dataset,
+    normalize,
+    prepare_frames,
+    read_records,
+    save_dataset,
+    split_dataset,
+    split_indices,
+)
 from .rcnn.model import RcnnModel, load_model, save_model, shape_chain
-from .rcnn.training import evaluate, recordings_to_arrays, train, write_training_log
+from .rcnn.training import evaluate, train, write_training_log
 from .ris import BRUTE_FORCE_MAX_BITS, brute_force, optimize, snr_probe
 
 
@@ -147,13 +158,17 @@ def cmd_generate(cfg: ExperimentConfig, args) -> dict[str, Path]:
     return paths
 
 
-def _prepared_split(cfg: ExperimentConfig, dataset_path: Path):
-    """The dataset smoothed, normalized and split: stacked (frames, labels) for
-    train and for test.  The per-record lists die here, before any training."""
-    split = split_dataset([normalize(denoise_recording(rec, cfg.filter_spec))
-                           for rec in load_dataset(_existing(dataset_path, "dataset"))],
-                          cfg.split_seed)
-    return recordings_to_arrays(split.train), recordings_to_arrays(split.test)
+def _prepared_split(cfg: ExperimentConfig, dataset_path: Path, parts=("train", "test")):
+    """One (frames, labels) pair per named part of the dataset's split ("train",
+    "test" or "all"), smoothed, normalized and stacked: consecutive views of
+    one array, so only the records the parts name are prepared."""
+    records = read_records(_existing(dataset_path, "dataset"))
+    split = split_indices(records["label"], cfg.split_seed)
+    order = np.concatenate([split[part] for part in parts])
+    frames = prepare_frames(records["magnitudes"], order, cfg.filter_spec)
+    labels = records["label"][order].astype(np.int64)
+    ends = np.cumsum([split[part].size for part in parts]).tolist()
+    return tuple((frames[a:b], labels[a:b]) for a, b in zip([0, *ends], ends))
 
 
 def _class_count(labels: list[int]) -> int:
@@ -192,11 +207,7 @@ def cmd_evaluate(cfg: ExperimentConfig, args) -> dict[str, Path]:
     model_path = _existing(args.model or cfg.output_dir / "model.bin", "checkpoint")
     dataset_path = _dataset(cfg, "ris_on", args.dataset)
     model = load_model(model_path)
-    train_set, test_set = _prepared_split(cfg, dataset_path)
-    if args.split == "all":  # train then test, the order the split lists them in
-        frames, labels = (np.concatenate(pair) for pair in zip(train_set, test_set))
-    else:
-        frames, labels = train_set if args.split == "train" else test_set
+    (frames, labels), = _prepared_split(cfg, dataset_path, (args.split,))
     doc = {**_metrics_doc(evaluate(model, frames, labels)), "split": args.split}
     metrics_path = cfg.output_dir / "eval_metrics.json"
     write_json(metrics_path, doc)

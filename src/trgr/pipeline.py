@@ -46,30 +46,91 @@ class FilterSpec:
             raise ValueError(f"window must be odd, got {self.window}")
 
 
+def _smooth(x: np.ndarray, window: int, out: np.ndarray, prefix: np.ndarray) -> None:
+    """Write the moving average along axis 1 of the (n, T, S) records `x` to
+    the float64 `out`: the mean over [i-h, i+h] clipped to the T packets.
+
+    The (n, T+1, S) `prefix` sums are T-1 adds over all n*S lanes, the
+    sequence `np.cumsum(axis=1)` runs, so the bytes match it at an eighth of
+    its time; full windows take one slice difference, clipped ones a row each."""
+    t = x.shape[1]
+    half = window // 2
+    if half == 0:
+        np.copyto(out, x)
+        return
+    prefix[:, 0] = 0.0
+    prefix[:, 1] = x[:, 0]
+    for i in range(1, t):
+        np.add(prefix[:, i], x[:, i], out=prefix[:, i + 1])
+    idx = np.arange(t)
+    lo, hi = np.maximum(idx - half, 0), np.minimum(idx + half + 1, t)
+    if t > 2 * half:
+        np.subtract(prefix[:, 2 * half + 1:], prefix[:, :t - 2 * half], out=out[:, half:t - half])
+    for i in idx[(idx < half) | (idx >= t - half)]:
+        np.subtract(prefix[:, hi[i]], prefix[:, lo[i]], out=out[:, i])
+    np.divide(out, (hi - lo).astype(np.float64)[:, None], out=out)
+
+
+def _standardize(y: np.ndarray, out: np.ndarray, squares: np.ndarray) -> None:
+    """Write each (T, S) record of the float64 (n, T, S) `y` standardized over
+    its T*S entries to `out` (y becomes the deviations from the mean).  The
+    steps are numpy's own for `rec.mean()` and `rec.std()`: add-reduce, divide
+    by the intp count, square the deviations in place, add-reduce, divide,
+    sqrt; a record whose std is 0 maps to zeros."""
+    count = np.intp(y[0].size)
+    mean = np.add.reduce(y, axis=(1, 2), keepdims=True)
+    np.true_divide(mean, count, out=mean, casting="unsafe")
+    np.subtract(y, mean, out=y)
+    np.multiply(y, y, out=squares)
+    std = np.add.reduce(squares, axis=(1, 2), keepdims=True)
+    np.true_divide(std, count, out=std, casting="unsafe")
+    np.sqrt(std, out=std)
+    constant = (std == 0.0)[:, 0, 0]
+    std[constant] = 1.0
+    np.divide(y, std, out=out, casting="unsafe")
+    out[constant] = 0.0
+
+
 def denoise_recording(rec: CsiRecording, spec: FilterSpec) -> CsiRecording:
     """Moving average along the time axis, independently per subcarrier: the
     mean over [i-h, i+h] clipped to the recording's packets."""
-    m = np.asarray(rec.magnitudes, dtype=np.float64)
-    n = m.shape[0]
-    if n < 1:
+    m = np.asarray(rec.magnitudes, dtype=np.float64)[None]
+    t, s = m.shape[1:]
+    if t < 1:
         raise ValueError("recording must have at least one packet")
-    if spec.window == 1:
-        return CsiRecording(m.copy(), rec.label, rec.episode_seed)
-    half = spec.window // 2
-    prefix = np.concatenate([np.zeros((1, m.shape[1])), np.cumsum(m, axis=0)], axis=0)
-    idx = np.arange(n)
-    lo = np.maximum(idx - half, 0)
-    hi = np.minimum(idx + half + 1, n)
-    counts = (hi - lo).astype(np.float64)[:, None]
-    return CsiRecording((prefix[hi] - prefix[lo]) / counts, rec.label, rec.episode_seed)
+    out = np.empty_like(m)
+    _smooth(m, spec.window, out, np.empty((1, t + 1, s)))
+    return CsiRecording(out[0], rec.label, rec.episode_seed)
 
 
 def normalize(rec: CsiRecording) -> CsiRecording:
     """Per-recording standardization; a zero-variance recording maps to all zeros."""
-    m = np.asarray(rec.magnitudes, dtype=np.float64)
-    std = m.std()
-    out = np.zeros_like(m) if std == 0.0 else (m - m.mean()) / std
-    return CsiRecording(out, rec.label, rec.episode_seed)
+    m = np.array(rec.magnitudes, dtype=np.float64)[None]
+    _standardize(m, m, np.empty_like(m))
+    return CsiRecording(m[0], rec.label, rec.episode_seed)
+
+
+# float64 scratch of one chunk of `prepare_frames` records; a chunk of a few
+# MB stays in the allocator's reuse, where one block of all records page-faults
+PREPARE_BYTES = 8 << 20
+
+
+def prepare_frames(magnitudes: np.ndarray, order: np.ndarray, spec: FilterSpec) -> np.ndarray:
+    """Smooth and standardize the (N, T, S) records `magnitudes[order]`, a
+    chunk at a time, into float32 (len(order), 1, T, S) frames: the bytes of
+    `normalize(denoise_recording(rec, spec))` cast to float32, record by record."""
+    _, t, s = magnitudes.shape
+    frames = np.empty((len(order), 1, t, s), dtype=np.float32)
+    chunk = max(1, min(len(order), PREPARE_BYTES // (3 * (t + 1) * s * 8)))
+    raw, smoothed = np.empty((2, chunk, t, s))  # raw holds the squares once smoothed
+    prefix = np.empty((chunk, t + 1, s))
+    for start in range(0, len(order), chunk):
+        rows = order[start:start + chunk]
+        n = len(rows)
+        np.copyto(raw[:n], magnitudes[rows])
+        _smooth(raw[:n], spec.window, smoothed[:n], prefix[:n])
+        _standardize(smoothed[:n], frames[start:start + n, 0], raw[:n])
+    return frames
 
 
 @dataclass(frozen=True)
@@ -78,24 +139,29 @@ class DatasetSplit:
     test: list[CsiRecording]
 
 
+def split_indices(labels: np.ndarray, split_seed: int) -> dict[str, np.ndarray]:
+    """Stratified split of record indices: per class, in label order, a seeded
+    shuffle, then round(2n/3) into train.  "all" is train then test."""
+    labels = np.asarray(labels)
+    classes, first, counts = np.unique(labels, return_index=True, return_counts=True)
+    for k in np.argsort(first):
+        if counts[k] < 3:
+            raise ValueError(f"class {classes[k]} has {counts[k]} samples, need at least 3 to split")
+    train, test = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for label in classes.tolist():
+        idx = np.flatnonzero(labels == label)
+        perm = np.random.default_rng(mix_seeds(split_seed, label)).permutation(idx.size)
+        cut = int(math.floor(2.0 * idx.size / 3.0 + 0.5))
+        train.append(idx[perm[:cut]])
+        test.append(idx[perm[cut:]])
+    parts = {"train": np.concatenate(train), "test": np.concatenate(test)}
+    return {**parts, "all": np.concatenate([parts["train"], parts["test"]])}
+
+
 def split_dataset(recs: list[CsiRecording], split_seed: int) -> DatasetSplit:
     """Stratified split: per class, seeded shuffle then round(2n/3) into train."""
-    by_label: dict[int, list[int]] = {}
-    for i, rec in enumerate(recs):
-        by_label.setdefault(rec.label, []).append(i)
-    for label, idx in by_label.items():
-        if len(idx) < 3:
-            raise ValueError(f"class {label} has {len(idx)} samples, need at least 3 to split")
-    train: list[CsiRecording] = []
-    test: list[CsiRecording] = []
-    for label in sorted(by_label):
-        idx = np.array(by_label[label])
-        rng = np.random.default_rng(mix_seeds(split_seed, label))
-        perm = rng.permutation(idx.size)
-        cut = int(math.floor(2.0 * idx.size / 3.0 + 0.5))
-        train.extend(recs[i] for i in idx[perm[:cut]])
-        test.extend(recs[i] for i in idx[perm[cut:]])
-    return DatasetSplit(train, test)
+    parts = split_indices([rec.label for rec in recs], split_seed)
+    return DatasetSplit([recs[i] for i in parts["train"]], [recs[i] for i in parts["test"]])
 
 
 def save_dataset(path, recordings: list[CsiRecording]) -> None:
@@ -117,8 +183,15 @@ def save_dataset(path, recordings: list[CsiRecording]) -> None:
             f.write(np.ascontiguousarray(rec.magnitudes, dtype="<f4").tobytes())
 
 
-def load_dataset(path) -> list[CsiRecording]:
-    """Read a dataset file; a file whose size disagrees with its header is rejected."""
+def _record_dtype(t: int, s: int) -> np.dtype:
+    """One packed record of the container: label, episode seed, T x S float32."""
+    return np.dtype([("label", "<u2"), ("episode_seed", "<u8"), ("magnitudes", "<f4", (t, s))])
+
+
+def read_records(path) -> np.ndarray:
+    """Read a dataset file in one read into a packed structured array; a file
+    whose size disagrees with its header, an empty frame or a non-finite
+    magnitude is rejected."""
     with open(path, "rb") as f:
         head = f.read(_HEADER.size)
         if len(head) != _HEADER.size:
@@ -128,18 +201,25 @@ def load_dataset(path) -> list[CsiRecording]:
             raise ValueError(f"bad magic {magic!r} in {path}")
         if version != DATASET_VERSION:
             raise ValueError(f"unsupported dataset version {version}")
-        block = t * s * 4
+        if t < 1 or s < 1:
+            raise ValueError(f"dataset {path} holds {t}x{s} frames, need at least 1x1")
+        dtype = _record_dtype(t, s)
         size = os.fstat(f.fileno()).st_size
-        expected = _HEADER.size + count * (_RECORD_HEAD.size + block)
+        expected = _HEADER.size + count * dtype.itemsize
         if size < expected:
             raise ValueError(f"truncated dataset {path}: {size} bytes, "
                              f"{count} records of {t}x{s} need {expected}")
         if size > expected:
             raise ValueError(f"{size - expected} trailing bytes after the last record in {path}")
-        recordings = []
-        for _ in range(count):
-            label, episode_seed = _RECORD_HEAD.unpack(f.read(_RECORD_HEAD.size))
-            raw = f.read(block)
-            mags = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(t, s)
-            recordings.append(CsiRecording(mags, label, episode_seed))
-    return recordings
+        records = np.fromfile(f, dtype=dtype, count=count)
+    if not np.isfinite(records["magnitudes"]).all():
+        raise ValueError("magnitudes must be finite")
+    return records
+
+
+def load_dataset(path) -> list[CsiRecording]:
+    """Read a dataset file as one recording per record; see `read_records`."""
+    records = read_records(path)
+    mags = records["magnitudes"].astype(np.float64)
+    return [CsiRecording(m, int(label), int(seed))
+            for m, label, seed in zip(mags, records["label"], records["episode_seed"])]

@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -217,6 +218,21 @@ def test_desk_prepared_split_matches_golden_digests(desk_out):
         for what, array in (("frames", frames), ("labels", labels)):
             digest = hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
             assert digest == DESK_PREPARED_SHA256[f"{part} {what}"], f"{part} {what}"
+
+
+def test_desk_prepare_peaks_below_two_and_a_half_dataset_files(desk_out):
+    # one read of the file, the float32 frames and a few MB of chunk scratch;
+    # per-record float64 copies of every recording peaked at 4x the file
+    dataset = desk_out / "dataset_ris_on.bin"
+    cfg = load_config(DESK_CONFIG)
+    tracemalloc.start()
+    try:
+        trgr.cli._prepared_split(cfg, dataset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * dataset.stat().st_size
+
 
 
 # sha256 of a 2-epoch `trgr train` on the TINY config's ris_on dataset and of
@@ -485,6 +501,36 @@ def test_non_finite_frame_fails_at_load(workspace, tmp_path, capsys, command, va
     assert capsys.readouterr().err.strip().splitlines() == ["error: magnitudes must be finite"]
     assert not (out / "model.bin").exists()
     assert not list(out.glob("manifest_*.json"))
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+@pytest.mark.parametrize("t, s", [(150, 0), (0, 128)])
+def test_empty_frame_dataset_fails_with_one_line(tmp_path, capsys, command, t, s):
+    # a header with no packets or no subcarriers is refused before any record
+    # is read, so no numpy warning about empty statistics gets out first
+    dataset = tmp_path / "empty_frame.bin"
+    dataset.write_bytes(struct.pack("<4sHIII", b"TRGR", 1, t, s, 6) + b"\x00" * 60)
+    checkpoint = tmp_path / "model_in.bin"
+    save_model(RcnnModel(150, 128, 3), checkpoint)
+    extra = ["--model", str(checkpoint), "--split", "all"] * (command == "evaluate")
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, out)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", str(cfg), "--dataset", str(dataset), *extra]) == 1
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"error: dataset {dataset} holds {t}x{s} frames, need at least 1x1"]
+    assert not out.exists()
+
+
+def test_train_and_evaluate_build_no_per_record_objects(workspace, tmp_path, monkeypatch):
+    # the datasets reach the network as arrays, never as one object per record
+    monkeypatch.setattr(CsiRecording, "__post_init__", _forbidden("CsiRecording"))
+    common = ["--config", str(workspace["config"]), "--output", str(tmp_path),
+              "--dataset", str(workspace["out"] / "dataset_ris_on.bin")]
+    assert main(["train", *common]) == 0
+    assert main(["evaluate", *common, "--split", "all"]) == 0
 
 
 class TestAblate:

@@ -1,6 +1,10 @@
 """Denoising, normalization, stratified splitting, and the dataset container."""
+import math
+import struct
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import trgr.pipeline
+from trgr.cli import _prepared_split
 from trgr.gait import CsiRecording
 from trgr.pipeline import (
     DATASET_MAGIC,
@@ -15,9 +21,11 @@ from trgr.pipeline import (
     denoise_recording,
     load_dataset,
     normalize,
+    read_records,
     save_dataset,
     split_dataset,
 )
+from trgr.seeds import mix_seeds
 
 
 def rec_of(mags, label=0, seed=1) -> CsiRecording:
@@ -276,3 +284,99 @@ class TestDatasetContainer:
         save_dataset(p1, recs)
         save_dataset(p2, recs)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("t, s", [(0, 3), (4, 0), (0, 0)])
+    def test_empty_frame_rejected_before_any_record(self, tmp_path, t, s):
+        # the header alone decides; the records that follow are never read
+        path = tmp_path / "empty_frame.bin"
+        path.write_bytes(struct.pack("<4sHIII", DATASET_MAGIC, 1, t, s, 5) + b"\x00" * 3)
+        with pytest.raises(ValueError, match=f"holds {t}x{s} frames, need at least 1x1"):
+            read_records(path)
+
+
+def reference_prepare(path, window: int, split_seed: int):
+    """The per-record path the array kernels replace, step for step: load each
+    record as float64, smooth it through `np.cumsum`, standardize it with
+    numpy's `mean` and `std`, split per class, stack as float32.  Returns the
+    train-then-test frames and labels, that order of record indices, the
+    train count and each record smoothed and standardized in float64."""
+    raw = Path(path).read_bytes()
+    _, _, t, s, count = struct.unpack_from("<4sHIII", raw)
+    labels, prepared = [], []
+    for k in range(count):
+        at = 18 + k * (10 + 4 * t * s)
+        labels.append(struct.unpack_from("<HQ", raw, at)[0])
+        m = np.frombuffer(raw, "<f4", t * s, at + 10).astype(np.float64).reshape(t, s)
+        half = window // 2
+        if half:
+            prefix = np.concatenate([np.zeros((1, s)), np.cumsum(m, axis=0)], axis=0)
+            idx = np.arange(t)
+            lo, hi = np.maximum(idx - half, 0), np.minimum(idx + half + 1, t)
+            m = (prefix[hi] - prefix[lo]) / (hi - lo).astype(np.float64)[:, None]
+        std = m.std()
+        prepared.append(np.zeros_like(m) if std == 0.0 else (m - m.mean()) / std)
+    train, test = [], []
+    for label in sorted(set(labels)):
+        idx = [i for i, lab in enumerate(labels) if lab == label]
+        perm = np.random.default_rng(mix_seeds(split_seed, label)).permutation(len(idx))
+        cut = int(math.floor(2.0 * len(idx) / 3.0 + 0.5))
+        train += [idx[j] for j in perm[:cut]]
+        test += [idx[j] for j in perm[cut:]]
+    order = train + test
+    frames = np.stack([prepared[i] for i in order], dtype=np.float32)[:, None]
+    return (frames, np.array([labels[i] for i in order], dtype=np.int64), order, len(train),
+            prepared)
+
+
+def same_bytes(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_array_path_matches_the_per_record_expressions(data):
+    # across several chunks, windows wider than the recording, one-packet
+    # recordings and constant records
+    t = data.draw(st.integers(1, 7), label="t")
+    s = data.draw(st.integers(1, 4), label="s")
+    window = data.draw(st.sampled_from([1, 3, 5, 2 * t + 1, 2 * t + 3]), label="window")
+    per_class = data.draw(st.lists(st.integers(3, 5), min_size=1, max_size=3), label="per_class")
+    classes = data.draw(st.lists(st.integers(0, 9), min_size=len(per_class),
+                                 max_size=len(per_class), unique=True), label="classes")
+    labels = data.draw(st.permutations([c for c, n in zip(classes, per_class) for _ in range(n)]))
+    n = len(labels)
+    mags = data.draw(arrays(np.float32, (n, t, s), elements=st.floats(
+        width=32, allow_nan=False, allow_infinity=False)), label="mags")
+    # a constant of few significant bits sums exactly, so its record maps to zeros
+    constant = data.draw(st.lists(st.booleans(), min_size=n, max_size=n), label="constant")
+    level = data.draw(st.integers(0, 400), label="level") / 4.0
+    mags[np.array(constant)] = level
+    chunk = data.draw(st.integers(1, 4), label="chunk_records")
+    split_seed = data.draw(st.integers(0, 2**32), label="split_seed")
+    recs = [CsiRecording(m.astype(np.float64), label, k)
+            for k, (m, label) in enumerate(zip(mags, labels))]
+    cfg = SimpleNamespace(filter_spec=FilterSpec(window), split_seed=split_seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.bin"
+        save_dataset(path, recs)
+        frames, expect_labels, order, n_train, prepared = reference_prepare(path, window,
+                                                                            split_seed)
+        with mock.patch.object(trgr.pipeline, "PREPARE_BYTES", chunk * 3 * (t + 1) * s * 8):
+            (train_x, train_y), (test_x, test_y) = _prepared_split(cfg, path)
+            (all_x, all_y), = _prepared_split(cfg, path, ("all",))
+            (only_x, only_y), = _prepared_split(cfg, path, ("test",))
+        loaded = load_dataset(path)
+    assert same_bytes(np.concatenate([train_x, test_x]), frames)
+    assert same_bytes(np.concatenate([train_y, test_y]), expect_labels)
+    assert len(train_y) == n_train
+    assert same_bytes(all_x, frames) and same_bytes(all_y, expect_labels)
+    assert same_bytes(only_x, frames[n_train:]) and same_bytes(only_y, expect_labels[n_train:])
+    for k in np.flatnonzero(constant):
+        assert same_bytes(prepared[k], np.zeros((t, s)))
+    # the per-record wrappers run the same kernels, in the same split order
+    for rec, expected in zip(loaded, prepared):
+        assert same_bytes(normalize(denoise_recording(rec, FilterSpec(window))).magnitudes,
+                          expected)
+    split = split_dataset(loaded, split_seed)
+    assert [rec.episode_seed for rec in split.train + split.test] == order
+    assert len(split.train) == n_train
