@@ -38,18 +38,10 @@ from .config import (
     write_json,
 )
 from .gait import generate_dataset
-# the per-record names are unused here, but benchmarks/tracing.py patches them
-# on this module and the full-geometry and desk-synth workloads call them
-from .pipeline import (
-    denoise_recording,
-    load_dataset,
-    normalize,
-    prepare_frames,
-    read_records,
-    save_dataset,
-    split_dataset,
-    split_indices,
-)
+# benchmarks/tracing.py patches the per-record names here, which the benchmark's
+# full-geometry and desk-synth workloads call
+from .pipeline import (denoise_recording, load_dataset, normalize, prepare_frames, read_records,
+                       save_dataset, split_dataset, split_indices)
 from .rcnn.model import RcnnModel, load_model, save_model, shape_chain
 from .rcnn.training import evaluate, train, write_training_log
 from .ris import BRUTE_FORCE_MAX_BITS, brute_force, optimize, snr_probe
@@ -159,16 +151,15 @@ def cmd_generate(cfg: ExperimentConfig, args) -> dict[str, Path]:
 
 
 def _prepared_split(cfg: ExperimentConfig, dataset_path: Path, parts=("train", "test")):
-    """One (frames, labels) pair per named part of the dataset's split ("train",
-    "test" or "all"), smoothed, normalized and stacked: consecutive views of
-    one array, so only the records the parts name are prepared."""
+    """A (frames, labels) pair per named part of the split ("train", "test" or
+    "all"), prepared in one array in that order; other records are skipped."""
     records = read_records(_existing(dataset_path, "dataset"))
     split = split_indices(records["label"], cfg.split_seed)
     order = np.concatenate([split[part] for part in parts])
     frames = prepare_frames(records["magnitudes"], order, cfg.filter_spec)
     labels = records["label"][order].astype(np.int64)
-    ends = np.cumsum([split[part].size for part in parts]).tolist()
-    return tuple((frames[a:b], labels[a:b]) for a, b in zip([0, *ends], ends))
+    ends = np.cumsum([0] + [split[part].size for part in parts])
+    return tuple((frames[a:b], labels[a:b]) for a, b in zip(ends, ends[1:]))
 
 
 def _class_count(labels: list[int]) -> int:

@@ -6,6 +6,13 @@ series pass through unchanged).  Normalization standardizes each recording
 over all T x S entries.  Splitting is stratified per class with a seeded
 shuffle and a half-up round(2n/3) train count.
 
+`train` and `evaluate` prepare arrays: `read_records` reads a file in one read,
+`split_indices` splits its labels, and `prepare_frames` smooths and
+standardizes the chosen records into float32, PREPARE_BYTES of float64 scratch
+at a time.  The time sum is T-1 row adds, np.cumsum's steps and bytes at an
+eighth of its time along that axis; the statistics repeat numpy's own mean
+and std.  The per-recording functions wrap these kernels for the benchmark.
+
 Datasets travel as a little-endian binary container:
 
     magic "TRGR" | u16 version=1 | u32 T | u32 S | u32 record_count
@@ -13,13 +20,14 @@ Datasets travel as a little-endian binary container:
                 | T*S float32 magnitudes, row-major (time-major)
 
 Saving refuses magnitudes that are not finite in float32; loading rejects a
-file whose size disagrees with its header.
+file whose size disagrees with its header or that holds no frame or empty ones.
 """
 from __future__ import annotations
 
 import math
 import os
 import struct
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +39,7 @@ DATASET_MAGIC = b"TRGR"
 DATASET_VERSION = 1
 _HEADER = struct.Struct("<4sHIII")
 _RECORD_HEAD = struct.Struct("<HQ")
+PREPARE_BYTES = 8 << 20  # float64 scratch of one chunk of `prepare_frames` records
 
 
 @dataclass(frozen=True)
@@ -46,122 +55,83 @@ class FilterSpec:
             raise ValueError(f"window must be odd, got {self.window}")
 
 
-def _smooth(x: np.ndarray, window: int, out: np.ndarray, prefix: np.ndarray) -> None:
-    """Write the moving average along axis 1 of the (n, T, S) records `x` to
-    the float64 `out`: the mean over [i-h, i+h] clipped to the T packets.
-
-    The (n, T+1, S) `prefix` sums are T-1 adds over all n*S lanes, the
-    sequence `np.cumsum(axis=1)` runs, so the bytes match it at an eighth of
-    its time; full windows take one slice difference, clipped ones a row each."""
-    t = x.shape[1]
+def _smooth(x: np.ndarray, window: int) -> np.ndarray:
+    """Moving average along axis 1 of the (n, T, S) records `x`, in float64."""
+    n, t, s = x.shape
     half = window // 2
     if half == 0:
-        np.copyto(out, x)
-        return
-    prefix[:, 0] = 0.0
-    prefix[:, 1] = x[:, 0]
+        return np.array(x, dtype=np.float64)
+    # row j holds the sum of the first clip(j - half, 0, T) packets
+    prefix = np.zeros((n, t + 2 * half + 1, s))
+    prefix[:, half + 1] = x[:, 0]
     for i in range(1, t):
-        np.add(prefix[:, i], x[:, i], out=prefix[:, i + 1])
+        np.add(prefix[:, half + i], x[:, i], out=prefix[:, half + i + 1])
+    prefix[:, half + t + 1:] = prefix[:, half + t, None]
     idx = np.arange(t)
-    lo, hi = np.maximum(idx - half, 0), np.minimum(idx + half + 1, t)
-    if t > 2 * half:
-        np.subtract(prefix[:, 2 * half + 1:], prefix[:, :t - 2 * half], out=out[:, half:t - half])
-    for i in idx[(idx < half) | (idx >= t - half)]:
-        np.subtract(prefix[:, hi[i]], prefix[:, lo[i]], out=out[:, i])
-    np.divide(out, (hi - lo).astype(np.float64)[:, None], out=out)
+    out = np.subtract(prefix[:, 2 * half + 1:], prefix[:, :t])
+    return np.divide(out, (np.minimum(idx + half + 1, t) - np.maximum(idx - half, 0))[:, None], out=out)
 
 
-def _standardize(y: np.ndarray, out: np.ndarray, squares: np.ndarray) -> None:
-    """Write each (T, S) record of the float64 (n, T, S) `y` standardized over
-    its T*S entries to `out` (y becomes the deviations from the mean).  The
-    steps are numpy's own for `rec.mean()` and `rec.std()`: add-reduce, divide
-    by the intp count, square the deviations in place, add-reduce, divide,
-    sqrt; a record whose std is 0 maps to zeros."""
+def _standardize(y: np.ndarray, out: np.ndarray) -> None:
+    """Write each float64 (T, S) record of `y` standardized to `out`; y keeps the deviations."""
     count = np.intp(y[0].size)
     mean = np.add.reduce(y, axis=(1, 2), keepdims=True)
-    np.true_divide(mean, count, out=mean, casting="unsafe")
-    np.subtract(y, mean, out=y)
-    np.multiply(y, y, out=squares)
-    std = np.add.reduce(squares, axis=(1, 2), keepdims=True)
-    np.true_divide(std, count, out=std, casting="unsafe")
-    np.sqrt(std, out=std)
-    constant = (std == 0.0)[:, 0, 0]
-    std[constant] = 1.0
-    np.divide(y, std, out=out, casting="unsafe")
-    out[constant] = 0.0
+    np.subtract(y, np.true_divide(mean, count, out=mean), out=y)
+    std = np.sqrt(np.add.reduce(np.square(y), axis=(1, 2), keepdims=True) / count)
+    np.divide(y, np.where(std == 0.0, 1.0, std), out=out, casting="unsafe")
+    out[std[:, 0, 0] == 0.0] = 0.0
 
 
 def denoise_recording(rec: CsiRecording, spec: FilterSpec) -> CsiRecording:
     """Moving average along the time axis, independently per subcarrier: the
     mean over [i-h, i+h] clipped to the recording's packets."""
-    m = np.asarray(rec.magnitudes, dtype=np.float64)[None]
-    t, s = m.shape[1:]
-    if t < 1:
+    if rec.magnitudes.shape[0] < 1:
         raise ValueError("recording must have at least one packet")
-    out = np.empty_like(m)
-    _smooth(m, spec.window, out, np.empty((1, t + 1, s)))
-    return CsiRecording(out[0], rec.label, rec.episode_seed)
+    return CsiRecording(_smooth(rec.magnitudes[None], spec.window)[0], rec.label, rec.episode_seed)
 
 
 def normalize(rec: CsiRecording) -> CsiRecording:
     """Per-recording standardization; a zero-variance recording maps to all zeros."""
     m = np.array(rec.magnitudes, dtype=np.float64)[None]
-    _standardize(m, m, np.empty_like(m))
+    _standardize(m, m)
     return CsiRecording(m[0], rec.label, rec.episode_seed)
 
 
-# float64 scratch of one chunk of `prepare_frames` records; a chunk of a few
-# MB stays in the allocator's reuse, where one block of all records page-faults
-PREPARE_BYTES = 8 << 20
-
-
 def prepare_frames(magnitudes: np.ndarray, order: np.ndarray, spec: FilterSpec) -> np.ndarray:
-    """Smooth and standardize the (N, T, S) records `magnitudes[order]`, a
-    chunk at a time, into float32 (len(order), 1, T, S) frames: the bytes of
-    `normalize(denoise_recording(rec, spec))` cast to float32, record by record."""
+    """`magnitudes[order]` smoothed and standardized as float32 (N, 1, T, S) frames."""
     _, t, s = magnitudes.shape
     frames = np.empty((len(order), 1, t, s), dtype=np.float32)
-    chunk = max(1, min(len(order), PREPARE_BYTES // (3 * (t + 1) * s * 8)))
-    raw, smoothed = np.empty((2, chunk, t, s))  # raw holds the squares once smoothed
-    prefix = np.empty((chunk, t + 1, s))
+    chunk = max(1, PREPARE_BYTES // (3 * 8 * (t + 1) * s))  # prefix, smoothed and squares
     for start in range(0, len(order), chunk):
         rows = order[start:start + chunk]
-        n = len(rows)
-        np.copyto(raw[:n], magnitudes[rows])
-        _smooth(raw[:n], spec.window, smoothed[:n], prefix[:n])
-        _standardize(smoothed[:n], frames[start:start + n, 0], raw[:n])
+        _standardize(_smooth(magnitudes[rows], spec.window), frames[start:start + len(rows), 0])
     return frames
 
 
-@dataclass(frozen=True)
-class DatasetSplit:
-    train: list[CsiRecording]
-    test: list[CsiRecording]
+DatasetSplit = namedtuple("DatasetSplit", ["train", "test"])  # of recordings
 
 
-def split_indices(labels: np.ndarray, split_seed: int) -> dict[str, np.ndarray]:
-    """Stratified split of record indices: per class, in label order, a seeded
-    shuffle, then round(2n/3) into train.  "all" is train then test."""
+def split_indices(labels, split_seed: int) -> dict[str, np.ndarray]:
+    """Stratified split of record indices: per class, a seeded shuffle, then
+    round(2n/3) into train; "all" is train then test."""
     labels = np.asarray(labels)
-    classes, first, counts = np.unique(labels, return_index=True, return_counts=True)
-    for k in np.argsort(first):
-        if counts[k] < 3:
-            raise ValueError(f"class {classes[k]} has {counts[k]} samples, need at least 3 to split")
-    train, test = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-    for label in classes.tolist():
+    train, test = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+    for label in np.unique(labels).tolist():
         idx = np.flatnonzero(labels == label)
-        perm = np.random.default_rng(mix_seeds(split_seed, label)).permutation(idx.size)
+        if idx.size < 3:
+            raise ValueError(f"class {label} has {idx.size} samples, need at least 3 to split")
+        idx = idx[np.random.default_rng(mix_seeds(split_seed, label)).permutation(idx.size)]
         cut = int(math.floor(2.0 * idx.size / 3.0 + 0.5))
-        train.append(idx[perm[:cut]])
-        test.append(idx[perm[cut:]])
-    parts = {"train": np.concatenate(train), "test": np.concatenate(test)}
-    return {**parts, "all": np.concatenate([parts["train"], parts["test"]])}
+        train.append(idx[:cut])
+        test.append(idx[cut:])
+    train, test = np.concatenate(train), np.concatenate(test)
+    return {"train": train, "test": test, "all": np.concatenate([train, test])}
 
 
 def split_dataset(recs: list[CsiRecording], split_seed: int) -> DatasetSplit:
     """Stratified split: per class, seeded shuffle then round(2n/3) into train."""
-    parts = split_indices([rec.label for rec in recs], split_seed)
-    return DatasetSplit([recs[i] for i in parts["train"]], [recs[i] for i in parts["test"]])
+    split = split_indices([rec.label for rec in recs], split_seed)
+    return DatasetSplit(*([recs[i] for i in split[part]] for part in ("train", "test")))
 
 
 def save_dataset(path, recordings: list[CsiRecording]) -> None:
@@ -183,15 +153,8 @@ def save_dataset(path, recordings: list[CsiRecording]) -> None:
             f.write(np.ascontiguousarray(rec.magnitudes, dtype="<f4").tobytes())
 
 
-def _record_dtype(t: int, s: int) -> np.dtype:
-    """One packed record of the container: label, episode seed, T x S float32."""
-    return np.dtype([("label", "<u2"), ("episode_seed", "<u8"), ("magnitudes", "<f4", (t, s))])
-
-
 def read_records(path) -> np.ndarray:
-    """Read a dataset file in one read into a packed structured array; a file
-    whose size disagrees with its header, an empty frame or a non-finite
-    magnitude is rejected."""
+    """Read a dataset file in one read as packed (label, episode_seed, magnitudes) records."""
     with open(path, "rb") as f:
         head = f.read(_HEADER.size)
         if len(head) != _HEADER.size:
@@ -201,9 +164,9 @@ def read_records(path) -> np.ndarray:
             raise ValueError(f"bad magic {magic!r} in {path}")
         if version != DATASET_VERSION:
             raise ValueError(f"unsupported dataset version {version}")
-        if t < 1 or s < 1:
-            raise ValueError(f"dataset {path} holds {t}x{s} frames, need at least 1x1")
-        dtype = _record_dtype(t, s)
+        if min(t, s, count) < 1:
+            raise ValueError(f"dataset {path} holds {count} frames of {t}x{s}, need at least one of 1x1")
+        dtype = np.dtype([("label", "<u2"), ("episode_seed", "<u8"), ("magnitudes", "<f4", (t, s))])
         size = os.fstat(f.fileno()).st_size
         expected = _HEADER.size + count * dtype.itemsize
         if size < expected:
@@ -218,8 +181,7 @@ def read_records(path) -> np.ndarray:
 
 
 def load_dataset(path) -> list[CsiRecording]:
-    """Read a dataset file as one recording per record; see `read_records`."""
+    """Read a dataset file as one recording per record."""
     records = read_records(path)
-    mags = records["magnitudes"].astype(np.float64)
-    return [CsiRecording(m, int(label), int(seed))
-            for m, label, seed in zip(mags, records["label"], records["episode_seed"])]
+    return [CsiRecording(m, label, seed) for m, label, seed in zip(records["magnitudes"].astype(
+        np.float64), records["label"].tolist(), records["episode_seed"].tolist())]

@@ -504,12 +504,12 @@ def test_non_finite_frame_fails_at_load(workspace, tmp_path, capsys, command, va
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate"])
-@pytest.mark.parametrize("t, s", [(150, 0), (0, 128)])
-def test_empty_frame_dataset_fails_with_one_line(tmp_path, capsys, command, t, s):
-    # a header with no packets or no subcarriers is refused before any record
-    # is read, so no numpy warning about empty statistics gets out first
+@pytest.mark.parametrize("t, s, count", [(150, 0, 6), (0, 128, 6), (150, 128, 0)])
+def test_empty_frame_dataset_fails_with_one_line(tmp_path, capsys, command, t, s, count):
+    # a header with no packets, no subcarriers or no records is refused before
+    # any record is read, so no numpy warning about empty statistics gets out
     dataset = tmp_path / "empty_frame.bin"
-    dataset.write_bytes(struct.pack("<4sHIII", b"TRGR", 1, t, s, 6) + b"\x00" * 60)
+    dataset.write_bytes(struct.pack("<4sHIII", b"TRGR", 1, t, s, count) + b"\x00" * 10 * count)
     checkpoint = tmp_path / "model_in.bin"
     save_model(RcnnModel(150, 128, 3), checkpoint)
     extra = ["--model", str(checkpoint), "--split", "all"] * (command == "evaluate")
@@ -520,7 +520,7 @@ def test_empty_frame_dataset_fails_with_one_line(tmp_path, capsys, command, t, s
         assert main([command, "--config", str(cfg), "--dataset", str(dataset), *extra]) == 1
     assert [str(w.message) for w in caught] == []
     assert capsys.readouterr().err.strip().splitlines() == [
-        f"error: dataset {dataset} holds {t}x{s} frames, need at least 1x1"]
+        f"error: dataset {dataset} holds {count} frames of {t}x{s}, need at least one of 1x1"]
     assert not out.exists()
 
 

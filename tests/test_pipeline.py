@@ -285,12 +285,12 @@ class TestDatasetContainer:
         save_dataset(p2, recs)
         assert p1.read_bytes() == p2.read_bytes()
 
-    @pytest.mark.parametrize("t, s", [(0, 3), (4, 0), (0, 0)])
-    def test_empty_frame_rejected_before_any_record(self, tmp_path, t, s):
+    @pytest.mark.parametrize("t, s, count", [(0, 3, 5), (4, 0, 5), (0, 0, 5), (4, 3, 0)])
+    def test_no_frame_or_empty_frames_rejected_before_any_record(self, tmp_path, t, s, count):
         # the header alone decides; the records that follow are never read
-        path = tmp_path / "empty_frame.bin"
-        path.write_bytes(struct.pack("<4sHIII", DATASET_MAGIC, 1, t, s, 5) + b"\x00" * 3)
-        with pytest.raises(ValueError, match=f"holds {t}x{s} frames, need at least 1x1"):
+        path = tmp_path / "empty.bin"
+        path.write_bytes(struct.pack("<4sHIII", DATASET_MAGIC, 1, t, s, count) + b"\x00" * 3)
+        with pytest.raises(ValueError, match=f"holds {count} frames of {t}x{s}, need at least one"):
             read_records(path)
 
 
