@@ -9,9 +9,10 @@ shuffle and a half-up round(2n/3) train count.
 `train` and `evaluate` prepare arrays: `read_records` reads a file in one read,
 `split_indices` splits its labels, and `prepare_frames` smooths and
 standardizes the chosen records into float32, PREPARE_BYTES of float64 scratch
-at a time.  The time sum is T-1 row adds, np.cumsum's steps and bytes at an
-eighth of its time along that axis; the statistics repeat numpy's own mean
-and std.  The per-recording functions wrap these kernels for the benchmark.
+at a time, since one block of all records page-faults.  The time sum is T-1
+row adds, np.cumsum's steps and bytes, which took 1.0 against 12.2 ms per
+150x8192 record; the statistics repeat numpy's own mean and std.  The
+per-recording functions wrap these kernels for the benchmark, which calls them.
 
 Datasets travel as a little-endian binary container:
 
@@ -27,7 +28,6 @@ from __future__ import annotations
 import math
 import os
 import struct
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,7 +108,10 @@ def prepare_frames(magnitudes: np.ndarray, order: np.ndarray, spec: FilterSpec) 
     return frames
 
 
-DatasetSplit = namedtuple("DatasetSplit", ["train", "test"])  # of recordings
+@dataclass(frozen=True)
+class DatasetSplit:
+    train: list[CsiRecording]
+    test: list[CsiRecording]
 
 
 def split_indices(labels, split_seed: int) -> dict[str, np.ndarray]:
