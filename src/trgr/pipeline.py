@@ -61,15 +61,18 @@ def _smooth(x: np.ndarray, window: int) -> np.ndarray:
     half = window // 2
     if half == 0:
         return np.array(x, dtype=np.float64)
-    # row j holds the sum of the first clip(j - half, 0, T) packets
-    prefix = np.zeros((n, t + 2 * half + 1, s))
-    prefix[:, half + 1] = x[:, 0]
+    prefix = np.zeros((n, t + 1, s))
+    prefix[:, 1] = x[:, 0]
     for i in range(1, t):
-        np.add(prefix[:, half + i], x[:, i], out=prefix[:, half + i + 1])
-    prefix[:, half + t + 1:] = prefix[:, half + t, None]
+        np.add(prefix[:, i], x[:, i], out=prefix[:, i + 1])
     idx = np.arange(t)
-    out = np.subtract(prefix[:, 2 * half + 1:], prefix[:, :t])
-    return np.divide(out, (np.minimum(idx + half + 1, t) - np.maximum(idx - half, 0))[:, None], out=out)
+    lo, hi = np.maximum(idx - half, 0), np.minimum(idx + half + 1, t)
+    out = np.empty((n, t, s))
+    if t > 2 * half:  # full windows in one slice difference, clipped ones a row each
+        np.subtract(prefix[:, 2 * half + 1:], prefix[:, :t - 2 * half], out=out[:, half:t - half])
+    for i in idx[(idx < half) | (idx >= t - half)]:
+        np.subtract(prefix[:, hi[i]], prefix[:, lo[i]], out=out[:, i])
+    return np.divide(out, (hi - lo)[:, None], out=out)
 
 
 def _standardize(y: np.ndarray, out: np.ndarray) -> None:
