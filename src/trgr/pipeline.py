@@ -10,8 +10,8 @@ shuffle and a half-up round(2n/3) train count.
 `split_indices` splits its labels, and `prepare_frames` smooths and
 standardizes the chosen records into float32, PREPARE_BYTES of float64 scratch
 at a time, since one block of all records page-faults.  The time sum is T-1
-row adds, np.cumsum's steps and bytes, which took 1.0 against 12.2 ms per
-150x8192 record; the statistics repeat numpy's own mean and std.  The
+row adds, np.cumsum's steps and bytes, which took 1.0-1.6 against 12-14 ms
+per 150x8192 record; the statistics repeat numpy's own mean and std.  The
 per-recording functions wrap these kernels for the benchmark, which calls them.
 
 Datasets travel as a little-endian binary container:

@@ -234,7 +234,6 @@ def test_desk_prepare_peaks_below_two_and_a_half_dataset_files(desk_out):
     assert peak <= 2.5 * dataset.stat().st_size
 
 
-
 # sha256 of a 2-epoch `trgr train` on the TINY config's ris_on dataset and of
 # `trgr evaluate --split all` on its checkpoint; refactors of the network, the
 # training loop, the scoring or the checkpoint format must keep these bytes.
