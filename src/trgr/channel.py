@@ -164,4 +164,7 @@ def snr(ris: RisChannel, codebook: Codebook, noise: NoiseSpec) -> float:
     """rho = |h Phi H|^2 / sigma^2."""
     if noise.variance == 0:
         raise ValueError("SNR is undefined for zero noise variance")
-    return abs(effective_gain(ris, codebook)) ** 2 / noise.variance
+    rho = abs(effective_gain(ris, codebook)) ** 2 / noise.variance
+    if not math.isfinite(rho):
+        raise ValueError(f"SNR |g|^2/sigma^2 is not finite at noise variance {noise.variance:g}")
+    return rho

@@ -3,7 +3,7 @@
 Subcommands:
     shapes     print the network's layer-by-layer output sizes
     optimize   tune the 1-bit RIS codebook and report the SNR gain
-    generate   synthesize the ris_on / ris_off CSI datasets
+    generate   render ris_on / ris_off into packed dataset records, one write each
     train      fit the classifier on a dataset and report test metrics
     evaluate   score a saved checkpoint on a dataset
     ablate     train on both datasets and report the accuracy delta
@@ -37,11 +37,12 @@ from .config import (
     resolve_config,
     write_json,
 )
-from .gait import generate_dataset
+from .gait import render_dataset
+from .pipeline import prepare_frames, read_records, save_dataset, split_indices
 # benchmarks/tracing.py patches the per-record names here, which the benchmark's
 # full-geometry and desk-synth workloads call
-from .pipeline import (denoise_recording, load_dataset, normalize, prepare_frames, read_records,
-                       save_dataset, split_dataset, split_indices)
+from .gait import generate_dataset
+from .pipeline import denoise_recording, load_dataset, normalize, split_dataset
 from .rcnn.model import RcnnModel, load_model, save_model, shape_chain
 from .rcnn.training import evaluate, train, write_training_log
 from .ris import BRUTE_FORCE_MAX_BITS, brute_force, optimize, snr_probe
@@ -133,11 +134,11 @@ def _generate_datasets(cfg: ExperimentConfig, names) -> dict[str, Path]:
         else:  # the same room with the surface removed needs no codebook
             scenario = dataclasses.replace(cfg.scenario, ris=RisChannel.empty())
             codebook = Codebook.zeros(0, 0)
-        recordings = generate_dataset(cfg.profiles, scenario, codebook,
-                                      cfg.episodes_per_subject, cfg.dataset_seed)
+        records = render_dataset(cfg.profiles, scenario, codebook,
+                                 cfg.episodes_per_subject, cfg.dataset_seed)
         paths[name] = cfg.output_dir / f"dataset_{name}.bin"
-        save_dataset(paths[name], recordings)
-        del recordings  # freed before the next dataset renders
+        save_dataset(paths[name], records)
+        del records  # freed before the next dataset renders
     return paths
 
 

@@ -182,7 +182,6 @@ def build_manifest(command: str, cfg: ExperimentConfig, artifacts: dict[str, Pat
 
 
 def write_json(path, doc: dict) -> None:
-    """Write a JSON artifact: two-space indent, keys in the document's order."""
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    """Write a JSON artifact: two-space indent, keys in the document's order;
+    a document holding NaN or an infinity is refused before the file opens."""
+    Path(path).write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")

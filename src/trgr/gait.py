@@ -18,7 +18,8 @@ Per-subject randomness (path delays, harmonic phase offsets) is pinned to the
 subject's signature seed so episodes of one person share their envelope
 structure, while Doppler rates and initial phases are redrawn per episode.
 Rendered output is the magnitude of the per-subcarrier response with optional
-AWGN, one row per packet.
+AWGN, one row per packet.  `render_dataset` writes each episode straight into
+its float32 record of `record_dtype`, the dataset's one record layout.
 """
 from __future__ import annotations
 
@@ -105,10 +106,6 @@ class CsiRecording:
             raise ValueError("magnitudes must be finite")
         object.__setattr__(self, "magnitudes", m)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.magnitudes.shape
-
 
 def _gait_draws(profile: SubjectProfile, episode_seed: int, path_count: int):
     """Per-path constants: (delays, psi, doppler, phi0, base amplitudes).
@@ -181,8 +178,8 @@ def _static_response(scenario: ScenarioConfig, codebook: Codebook) -> np.ndarray
 
 
 def _render(profile: SubjectProfile, scenario: ScenarioConfig,
-            static_fr: np.ndarray, episode_seed: int) -> CsiRecording:
-    """One episode on top of a precomputed static response."""
+            static_fr: np.ndarray, episode_seed: int) -> np.ndarray:
+    """One episode's float64 (T, S) magnitudes on top of a precomputed static response."""
     grid = scenario.grid
     T = scenario.packet_count
     response = np.broadcast_to(static_fr, (T, grid.count)).copy()
@@ -199,31 +196,46 @@ def _render(profile: SubjectProfile, scenario: ScenarioConfig,
         w = rng.standard_normal((2, T, grid.count)) * math.sqrt(scenario.noise.variance / 2.0)
         response += w[0] + 1j * w[1]
 
-    return CsiRecording(np.abs(response), profile.subject_id, episode_seed)
+    return np.abs(response)
 
 
 def render_recording(profile: SubjectProfile, scenario: ScenarioConfig,
                      codebook: Codebook, episode_seed: int) -> CsiRecording:
-    """Render one episode of `profile` walking through `scenario`."""
-    return _render(profile, scenario, _static_response(scenario, codebook), episode_seed)
+    """Render one episode of `profile` walking through `scenario`, in float64."""
+    magnitudes = _render(profile, scenario, _static_response(scenario, codebook), episode_seed)
+    return CsiRecording(magnitudes, profile.subject_id, episode_seed)
+
+
+def record_dtype(t: int, s: int) -> np.dtype:
+    """The packed dataset record: u16 label, u64 episode seed, (t, s) float32 magnitudes."""
+    return np.dtype([("label", "<u2"), ("episode_seed", "<u8"), ("magnitudes", "<f4", (t, s))])
+
+
+def render_dataset(profiles: list[SubjectProfile], scenario: ScenarioConfig,
+                   codebook: Codebook, episodes_per_subject: int, base_seed: int) -> np.ndarray:
+    """episodes_per_subject renders per profile, in profile order, seeded per
+    episode, as `record_dtype` records; the static response is computed once.
+    Each render is cast to float32 as it lands, where an overflow reads inf."""
+    if episodes_per_subject < 1:
+        raise ValueError("episodes_per_subject must be >= 1")
+    static_fr = _static_response(scenario, codebook)
+    records = np.empty(len(profiles) * episodes_per_subject,
+                       record_dtype(scenario.packet_count, scenario.grid.count))
+    episodes = ((profile, mix_seeds(base_seed, profile.subject_id, episode))
+                for profile in profiles for episode in range(episodes_per_subject))
+    with np.errstate(over="ignore"):
+        for record, (profile, seed) in zip(records, episodes):
+            record["label"], record["episode_seed"] = profile.subject_id, seed
+            record["magnitudes"] = _render(profile, scenario, static_fr, seed)
+    return records
 
 
 def generate_dataset(profiles: list[SubjectProfile], scenario: ScenarioConfig,
                      codebook: Codebook, episodes_per_subject: int,
                      base_seed: int) -> list[CsiRecording]:
-    """episodes_per_subject renders per profile, in profile order, seeded per episode.
-
-    The static response is the same for every episode, so it is computed once.
-    """
-    if episodes_per_subject < 1:
-        raise ValueError("episodes_per_subject must be >= 1")
-    static_fr = _static_response(scenario, codebook)
-    recordings = []
-    for profile in profiles:
-        for episode in range(episodes_per_subject):
-            seed = mix_seeds(base_seed, profile.subject_id, episode)
-            recordings.append(_render(profile, scenario, static_fr, seed))
-    return recordings
+    """`render_dataset` as one recording per record, each a view of its float32 magnitudes."""
+    return [CsiRecording(r["magnitudes"], int(r["label"]), int(r["episode_seed"]))
+            for r in render_dataset(profiles, scenario, codebook, episodes_per_subject, base_seed)]
 
 
 # ---------------------------------------------------------------------------

@@ -6,18 +6,19 @@ series pass through unchanged).  Normalization standardizes each recording
 over all T x S entries.  Splitting is stratified per class with a seeded
 shuffle and a half-up round(2n/3) train count.
 
-`train` and `evaluate` prepare arrays: `read_records` reads a file in one read,
-`split_indices` splits its labels, and `prepare_frames` smooths and
-standardizes the chosen records into float32, PREPARE_BYTES of float64 scratch
-at a time, since one block of all records page-faults.  The time sum is T-1
-row adds, np.cumsum's steps and bytes, which took 1.0-1.6 against 12-14 ms
-per 150x8192 record; the statistics repeat numpy's own mean and std.  The
-per-recording functions wrap these kernels for the benchmark, which calls them.
+A dataset is one array of `gait.record_dtype` records, the one record layout,
+which `save_dataset` writes after the header in one write and `read_records`
+reads back in one read.  `split_indices` splits its labels, and
+`prepare_frames` smooths and standardizes the chosen records into float32,
+PREPARE_BYTES of float64 scratch at a time, since one block of all records
+page-faults.  The time sum is T-1 row adds, np.cumsum's steps and bytes
+without its slow pass along the time axis; the statistics repeat numpy's own
+mean and std.  The per-recording functions wrap these kernels for the benchmark.
 
 Datasets travel as a little-endian binary container:
 
     magic "TRGR" | u16 version=1 | u32 T | u32 S | u32 record_count
-    per record: u16 label (subject id) | u64 episode_seed
+    per record, packed: u16 label (subject id) | u64 episode_seed
                 | T*S float32 magnitudes, row-major (time-major)
 
 Saving refuses magnitudes that are not finite in float32; loading rejects a
@@ -32,13 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gait import CsiRecording
+from .gait import CsiRecording, record_dtype
 from .seeds import mix_seeds
 
 DATASET_MAGIC = b"TRGR"
 DATASET_VERSION = 1
 _HEADER = struct.Struct("<4sHIII")
-_RECORD_HEAD = struct.Struct("<HQ")
 PREPARE_BYTES = 8 << 20  # float64 scratch of one chunk of `prepare_frames` records
 
 
@@ -140,23 +140,16 @@ def split_dataset(recs: list[CsiRecording], split_seed: int) -> DatasetSplit:
     return DatasetSplit(*([recs[i] for i in split[part]] for part in ("train", "test")))
 
 
-def save_dataset(path, recordings: list[CsiRecording]) -> None:
-    if not recordings:
+def save_dataset(path, records: np.ndarray) -> None:
+    """Write `record_dtype` records after the header, in one write."""
+    if len(records) == 0:
         raise ValueError("refusing to write an empty dataset")
-    t, s = recordings[0].shape
-    for rec in recordings:
-        if rec.shape != (t, s):
-            raise ValueError(f"inconsistent record shape {rec.shape}, expected {(t, s)}")
-    with np.errstate(over="ignore"):  # each record's extremes decide its float32 cast
-        extremes = np.array([(rec.magnitudes.min(initial=0.0), rec.magnitudes.max(initial=0.0))
-                             for rec in recordings], dtype=np.float32)
-    if not np.isfinite(extremes).all():
+    mags = records["magnitudes"]  # a NaN or an infinity anywhere shows in its extremes
+    if not np.isfinite([mags.min(initial=0.0), mags.max(initial=0.0)]).all():
         raise ValueError("refusing to write magnitudes that are not finite in float32")
     with open(path, "wb") as f:
-        f.write(_HEADER.pack(DATASET_MAGIC, DATASET_VERSION, t, s, len(recordings)))
-        for rec in recordings:
-            f.write(_RECORD_HEAD.pack(rec.label, rec.episode_seed & (1 << 64) - 1))
-            f.write(np.ascontiguousarray(rec.magnitudes, dtype="<f4").tobytes())
+        f.write(_HEADER.pack(DATASET_MAGIC, DATASET_VERSION, *mags.shape[1:], len(records)))
+        records.tofile(f)
 
 
 def read_records(path) -> np.ndarray:
@@ -172,7 +165,7 @@ def read_records(path) -> np.ndarray:
             raise ValueError(f"unsupported dataset version {version}")
         if min(t, s, count) < 1:
             raise ValueError(f"dataset {path} holds {count} frames of {t}x{s}, need at least one of 1x1")
-        dtype = np.dtype([("label", "<u2"), ("episode_seed", "<u8"), ("magnitudes", "<f4", (t, s))])
+        dtype = record_dtype(t, s)
         size = os.fstat(f.fileno()).st_size
         expected = _HEADER.size + count * dtype.itemsize
         if size < expected:

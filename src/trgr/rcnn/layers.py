@@ -9,20 +9,20 @@ and backward and both pooling passes.  Convolutions use the cross-correlation
 convention with output size floor((H + 2p - k) / s) + 1.
 
 The elementwise layers select by arithmetic, because `np.where` on a
-data-dependent mask measured 4-10x slower for the same bytes: ReLU is a
-maximum, its backward and MaxPool's a multiply by a cached mask, and MaxPool
-keeps a first-hit tap index.  `+= 0.0` turns the -0.0 of a negative gradient
+data-dependent mask is slower for the same bytes: ReLU is a maximum, its
+backward and MaxPool's a multiply by a cached mask, and MaxPool keeps a
+first-hit tap index.  `+= 0.0` turns the -0.0 of a negative gradient
 times False back into the select's +0.0.  ReLU so propagates a NaN, which the
 select zeroed; the dataset's load check keeps NaN frames out, and a
 FloatingPointError inside a training epoch still ends in one `training
 diverged` error.  BatchNorm's training statistics centre the input once.
 
 A convolution's weight gradient is one GEMM per frame over the im2col columns
-its training forward cached, summed over the batch.  Contracting the batch
-inside one `tensordot` first copied the whole column matrix, 43.6 MB per
-residual conv at 150x8192 and B=2.  `Conv2d.parameter_backward` writes the
-parameter gradients alone; `backward` calls it, then forms the input
-gradient, which `RcnnModel.backward` never asks of the stem.
+its training forward cached, summed over the batch, because contracting the
+batch inside one `tensordot` copies the whole column matrix first.
+`Conv2d.parameter_backward` writes the parameter gradients alone; `backward`
+calls it, then forms the input gradient, which `RcnnModel.backward` never
+asks of the stem.
 
 `TEMP_BYTES` caps the scratch of inference: an eval convolution runs its
 im2col GEMM one block of output rows at a time, and `RcnnModel.predict` sizes
@@ -30,8 +30,8 @@ its chunks by it.
 
 `folded()` gives the layer an eval forward runs, after dropping the layer's
 training cache; a chain folds each BatchNorm2d that follows a Conv2d into that
-convolution (Jacob et al., CVPR 2018, section 3.2), because BatchNorm took
-about a quarter of an eval forward.  `BatchNorm2d.affine` is the one
+convolution (Jacob et al., CVPR 2018, section 3.2), so an eval forward skips
+BatchNorm's own pass over each activation.  `BatchNorm2d.affine` is the one
 definition of BatchNorm's eval map, a per-channel scale and shift in float64
 from gamma, beta, the running statistics and BN_EPS.  BatchNorm's own eval
 forward applies it, and `BatchNorm2d.fold` builds a new Conv2d with weights

@@ -16,10 +16,9 @@ Every eval forward, and so `predict`, `training.evaluate` and the per-epoch
 scoring of `training.train`, runs the folded network (`RcnnModel.folded`): a
 copy of the model, built from the live parameters and never stored, in which
 each of the 9 conv+BatchNorm pairs is one Conv2d on the same blocked eval
-forward.  BatchNorm was about 24 % of `predict`.  `predict` folds once per
-call, not once per chunk, because a fold costs about 0.2 ms, 4-5 % of a
-200-frame desk predict at 16 chunks.  The folded network rounds differently,
-so the logits move in their last float32 bits.
+forward, so BatchNorm's own pass is skipped.  `predict` folds once per call,
+not once per chunk, because each fold copies every parameter.  The folded
+network rounds differently, so the logits move in their last float32 bits.
 
 `shape_chain` walks the same stage table as the layer list to compute every
 output size for a given input frame (the construction-time shape check and
@@ -166,10 +165,7 @@ class RcnnModel(Chain):
         logits: the layers after the stem walk back as a chain, then the stem
         convolution writes its weight and bias gradients only, so the
         gradient with respect to the frames, which nothing reads, is never
-        formed.  Each convolution's weight gradient is one GEMM per frame
-        over its cached im2col columns, summed over the batch: one
-        `tensordot` over batch and position copied the whole column matrix
-        first, 43.6 MB per residual conv at 150x8192 and B=2."""
+        formed."""
         for layer in reversed(self.layers[1:]):
             grad = layer.backward(grad)
         self.layers[0].parameter_backward(grad)
@@ -180,12 +176,9 @@ class RcnnModel(Chain):
         least one).
 
         Before the first chunk, one 4 x TEMP_BYTES array is allocated and
-        freed untouched.  glibc raises its mmap threshold to the largest
-        mapped block freed so far, up to its 32 MiB ceiling, and its heap
-        trim threshold to twice that.  In a process that has not trained,
-        the largest freed block was a 4 MiB column block, so the heap was
-        trimmed and grown again on every chunk: 39,219 minor faults per
-        70-frame desk predict, 5 after the 16 MiB block."""
+        freed untouched: glibc then raises its mmap and heap-trim thresholds
+        past the column blocks, so a process that has not trained does not
+        trim and regrow its heap, page fault by page fault, on every chunk."""
         widest = max(math.prod(shape) for _, shape in
                      shape_chain(self.frame_height, self.frame_width, self.class_count))
         chunk = max(1, TEMP_BYTES // (widest * self.dtype.itemsize))

@@ -5,10 +5,8 @@ the same config, model seed, and data reproduces the exact same parameter
 trajectory.  Frames are stacked, trained on and scored in the network's
 float32 `layers.DTYPE`, the checkpoint's precision, so the saved checkpoint
 holds the trained state exactly; only the loss runs in float64, over the B x K
-logits.  Scoring runs through `RcnnModel.predict`, 13 desk frames per forward,
-on the folded network: each BatchNorm is folded into the convolution before
-it, from the live parameters, so the per-epoch scores cost about a quarter
-less and the trained parameters are untouched.
+logits.  Scoring runs through `RcnnModel.predict` on a folded copy of the
+network (see `model`), so the trained parameters are untouched.
 """
 from __future__ import annotations
 

@@ -1,6 +1,7 @@
-"""Shared test machinery: finite-difference gradient checks for every layer kind.
+"""Shared test machinery: dataset records built from frames, and
+finite-difference gradient checks for every layer kind.
 
-Each trial builds a random small layer and input, computes analytic gradients
+Each gradient trial builds a random small layer and input, computes analytic gradients
 through one forward/backward pass, then compares every parameter and input
 gradient against central finite differences of the scalar objective
 sum(forward(x) * G) for a fixed random G.  The network's layers are built in
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from trgr.gait import record_dtype
 from trgr.rcnn.layers import (
     BatchNorm2d,
     Conv2d,
@@ -22,6 +24,19 @@ from trgr.rcnn.layers import (
     ResidualBlock,
 )
 from trgr.rcnn.training import cross_entropy
+
+
+def dataset_records(frames, labels, seeds) -> np.ndarray:
+    """(N, T, S) frames as packed dataset records, each cast to float32 as
+    `render_dataset` casts a render into its record: beyond float32, inf."""
+    frames = np.asarray(frames)
+    records = np.empty(len(frames), record_dtype(*frames.shape[1:]))
+    records["label"] = list(labels)
+    records["episode_seed"] = list(seeds)
+    with np.errstate(over="ignore"):
+        for row, frame in zip(records["magnitudes"], frames):
+            row[...] = frame
+    return records
 
 
 def as_dtype(layer: Layer, dtype) -> Layer:

@@ -272,6 +272,11 @@ class TestEffectiveGainAndSnr:
         with pytest.raises(ValueError):
             snr(small_ris(2), Codebook.zeros(1, 2), NoiseSpec(variance=0.0))
 
+    def test_overflowing_snr_rejected(self):
+        # a subnormal variance sends |g|^2 / sigma^2 past float64's range
+        with pytest.raises(ValueError, match="not finite"):
+            snr(small_ris(3), Codebook.zeros(1, 3), NoiseSpec(variance=1e-320))
+
     def test_negative_variance_rejected_at_construction(self):
         with pytest.raises(ValueError):
             NoiseSpec(variance=-1.0)

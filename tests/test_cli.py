@@ -15,9 +15,11 @@ import pytest
 import trgr.cli
 from trgr.cli import main
 from trgr.config import ExperimentConfig, load_config
-from trgr.gait import CsiRecording
+from trgr.gait import CsiRecording, render_dataset
 from trgr.pipeline import load_dataset, save_dataset
 from trgr.rcnn.model import RcnnModel, load_model, save_model
+
+from helpers import dataset_records
 
 TINY = {
     "seed": 123,
@@ -125,7 +127,7 @@ class TestGenerate:
         for name in ("dataset_ris_on.bin", "dataset_ris_off.bin"):
             recs = load_dataset(workspace["out"] / name)
             assert len(recs) == 3 * 6
-            assert recs[0].shape == (150, 128)
+            assert recs[0].magnitudes.shape == (150, 128)
             assert sorted({r.label for r in recs}) == [0, 1, 2]
         assert (workspace["out"] / "manifest_generate.json").exists()
 
@@ -232,6 +234,25 @@ def test_desk_prepare_peaks_below_two_and_a_half_dataset_files(desk_out):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * dataset.stat().st_size
+
+
+def test_desk_render_and_save_peak_below_one_and_a_half_dataset_files(tmp_path):
+    # the record array is the file's body, and each render's float64 scratch
+    # is freed as its record lands; a float64 recording per episode, held
+    # until the save, peaked at twice the file
+    cfg = load_config(DESK_CONFIG)
+    codebook = trgr.cli._search(cfg)[1].best_codebook
+    path = tmp_path / "dataset_ris_on.bin"
+    tracemalloc.start()
+    try:
+        save_dataset(path, render_dataset(cfg.profiles, cfg.scenario, codebook,
+                                          cfg.episodes_per_subject, cfg.dataset_seed))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == DESK_DATASET_SHA256["dataset_ris_on.bin"]
+    assert peak <= 1.5 * path.stat().st_size
 
 
 # sha256 of a 2-epoch `trgr train` on the TINY config's ris_on dataset and of
@@ -384,8 +405,8 @@ class TestTrain:
         # three recordings per class, the fewest a split accepts
         rng = np.random.default_rng(0)
         dataset = tmp_path / "handmade.bin"
-        save_dataset(dataset, [CsiRecording(rng.uniform(0.5, 1.5, (150, 128)), label, i)
-                               for i, label in enumerate(labels * 3)])
+        frames = rng.uniform(0.5, 1.5, (3 * len(labels), 150, 128))
+        save_dataset(dataset, dataset_records(frames, labels * 3, range(3 * len(labels))))
         out = tmp_path / "run"
         cfg = write_config(tmp_path, out)
         assert main(["train", "--config", str(cfg), "--dataset", str(dataset)]) == 1
@@ -521,6 +542,12 @@ def test_empty_frame_dataset_fails_with_one_line(tmp_path, capsys, command, t, s
     assert capsys.readouterr().err.strip().splitlines() == [
         f"error: dataset {dataset} holds {count} frames of {t}x{s}, need at least one of 1x1"]
     assert not out.exists()
+
+
+def test_generate_builds_no_per_record_objects(tmp_path, monkeypatch):
+    # each render lands in the dataset's record array, which is saved in one write
+    monkeypatch.setattr(CsiRecording, "__post_init__", _forbidden("CsiRecording"))
+    assert main(["generate", "--config", str(write_config(tmp_path, tmp_path / "gen"))]) == 0
 
 
 def test_train_and_evaluate_build_no_per_record_objects(workspace, tmp_path, monkeypatch):
@@ -689,6 +716,18 @@ class TestConfigErrors:
         assert main([command, "--config", str(cfg)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "ris_rows" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["optimize", "generate"])
+    def test_overflowing_snr_fails_with_one_line(self, tmp_path, capsys, command):
+        # |g|^2 / sigma^2 overflows at a subnormal noise variance; the search
+        # stops there instead of reporting NaN gains or rendering with an
+        # all-zeros codebook
+        out = tmp_path / "faint"
+        cfg = write_config(tmp_path, out, scenario={"noise_variance": 1e-320})
+        assert main([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: SNR") and "not finite" in err[0]
         assert not out.exists()
 
     def test_wrong_typed_name_fails_before_any_dataset(self, tmp_path, capsys):

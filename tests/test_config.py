@@ -278,6 +278,14 @@ class TestManifest:
         # keys come out sorted at every level without asking the writer to sort
         assert out.read_text() == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_document_refused_before_the_file_opens(self, tmp_path, value):
+        # NaN and Infinity are not JSON; a refused document leaves no file behind
+        out = tmp_path / "report.json"
+        with pytest.raises(ValueError):
+            write_json(out, {"gain_db": value})
+        assert not out.exists()
+
     def test_file_digest_matches_known_vector(self, tmp_path):
         p = tmp_path / "v.txt"
         p.write_bytes(b"abc")

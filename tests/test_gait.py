@@ -1,9 +1,14 @@
 """Gait synthesis: subject signatures, episode variation, rendering, datasets."""
 import dataclasses
 import math
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trgr.channel import (
     NoiseSpec,
@@ -26,8 +31,11 @@ from trgr.gait import (
     default_scenario,
     dynamic_coupling,
     generate_dataset,
+    render_dataset,
     render_recording,
 )
+from trgr.pipeline import save_dataset
+from trgr.seeds import mix_seeds
 
 
 def make_profile(sid: int = 0, seed: int = 100) -> SubjectProfile:
@@ -203,7 +211,7 @@ class TestRenderRecording:
     def test_shape_is_packets_by_subcarriers(self):
         sc = tiny_scenario()
         rec = render_recording(make_profile(), sc, Codebook.zeros(2, 2), episode_seed=1)
-        assert rec.shape == (sc.packet_count, sc.grid.count)
+        assert rec.magnitudes.shape == (sc.packet_count, sc.grid.count)
         assert rec.episode_seed == 1
 
     def test_vacant_render_is_static(self):
@@ -278,7 +286,9 @@ class TestGenerateDataset:
         cb = Codebook(np.array([[1, 0], [0, 1]], dtype=np.uint8))
         for rec in generate_dataset(profiles, sc, cb, episodes_per_subject=2, base_seed=9):
             alone = render_recording(profiles[rec.label], sc, cb, rec.episode_seed)
-            assert np.array_equal(rec.magnitudes, alone.magnitudes)
+            # each recording views its float32 record
+            assert rec.magnitudes.dtype == np.float32 and not rec.magnitudes.flags.owndata
+            assert np.array_equal(rec.magnitudes, alone.magnitudes.astype(np.float32))
 
     def test_deterministic_by_base_seed(self):
         sc = tiny_scenario(noise_variance=0.1)
@@ -289,6 +299,36 @@ class TestGenerateDataset:
         for x, y in zip(a, b):
             assert np.array_equal(x.magnitudes, y.magnitudes)
         assert not np.array_equal(a[0].magnitudes, c[0].magnitudes)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_saved_records_equal_the_per_record_reference(self, data):
+        # the reference renders each episode alone and packs its record as the
+        # dataset format spells it: <HQ label and seed, then <f4 magnitudes
+        surface = data.draw(st.booleans(), label="surface")
+        sc = dataclasses.replace(
+            tiny_scenario(noise_variance=data.draw(st.sampled_from([0.0, 0.1, 2.0])),
+                          n_ris=4 if surface else 0, paths=data.draw(st.integers(0, 3))),
+            grid=SubcarrierGrid(count=data.draw(st.integers(1, 8), label="subcarriers")),
+            duration_s=data.draw(st.sampled_from([0.02, 0.1, 0.3]), label="duration_s"))
+        cb = (Codebook(np.array(data.draw(st.lists(st.integers(0, 1), min_size=4, max_size=4)),
+                                dtype=np.uint8).reshape(2, 2)) if surface else Codebook.zeros(0, 0))
+        ids = data.draw(st.lists(st.integers(0, 0xFFFF), min_size=1, max_size=3, unique=True))
+        profiles = [make_profile(sid, 100 + k) for k, sid in enumerate(ids)]
+        episodes = data.draw(st.integers(1, 4), label="episodes")
+        base_seed = data.draw(st.integers(0, 2**64 - 1), label="base_seed")
+        reference = [struct.pack("<4sHIII", b"TRGR", 1, sc.packet_count, sc.grid.count,
+                                 len(profiles) * episodes)]
+        for profile in profiles:
+            for episode in range(episodes):
+                seed = mix_seeds(base_seed, profile.subject_id, episode)
+                rec = render_recording(profile, sc, cb, seed)
+                reference += [struct.pack("<HQ", rec.label, rec.episode_seed),
+                              rec.magnitudes.astype("<f4").tobytes()]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.bin"
+            save_dataset(path, render_dataset(profiles, sc, cb, episodes, base_seed))
+            assert path.read_bytes() == b"".join(reference)
 
     def test_requires_at_least_one_episode(self):
         with pytest.raises(ValueError):
