@@ -179,31 +179,30 @@ def _static_response(scenario: ScenarioConfig, codebook: Codebook) -> np.ndarray
 
 def _render(profile: SubjectProfile, scenario: ScenarioConfig,
             static_fr: np.ndarray, episode_seed: int) -> np.ndarray:
-    """One episode's float64 (T, S) magnitudes on top of a precomputed static response."""
-    grid = scenario.grid
-    T = scenario.packet_count
-    response = np.broadcast_to(static_fr, (T, grid.count)).copy()
-    t = np.arange(T) / scenario.packets_per_second
+    """One episode's complex (T, S) response: static and noise added in place to the dynamic paths."""
+    t = np.arange(scenario.packet_count) / scenario.packets_per_second
     delays, psi, doppler, phi0, base = _gait_draws(profile, episode_seed,
                                                    scenario.dynamic_path_count)
     amps = _envelopes(profile, psi, base, t)                          # (T, P)
     phases = phi0[None, :] + 2.0 * math.pi * np.outer(t, doppler)    # (T, P)
-    steering = np.exp(-1j * 2.0 * math.pi * np.outer(delays, grid.frequencies()))  # (P, S)
-    response += dynamic_coupling(scenario) * (amps * np.exp(1j * phases)) @ steering
+    steering = np.exp(-1j * 2.0 * math.pi * np.outer(delays, scenario.grid.frequencies()))  # (P, S)
+    response = dynamic_coupling(scenario) * (amps * np.exp(1j * phases)) @ steering
+    response += static_fr
 
     if scenario.noise.variance > 0:
         rng = np.random.default_rng(mix_seeds(scenario.noise.seed, episode_seed, _NOISE_SALT))
-        w = rng.standard_normal((2, T, grid.count)) * math.sqrt(scenario.noise.variance / 2.0)
-        response += w[0] + 1j * w[1]
-
-    return np.abs(response)
+        w = rng.standard_normal((2, *response.shape))
+        w *= math.sqrt(scenario.noise.variance / 2.0)
+        response.real += w[0]
+        response.imag += w[1]
+    return response
 
 
 def render_recording(profile: SubjectProfile, scenario: ScenarioConfig,
                      codebook: Codebook, episode_seed: int) -> CsiRecording:
     """Render one episode of `profile` walking through `scenario`, in float64."""
-    magnitudes = _render(profile, scenario, _static_response(scenario, codebook), episode_seed)
-    return CsiRecording(magnitudes, profile.subject_id, episode_seed)
+    response = _render(profile, scenario, _static_response(scenario, codebook), episode_seed)
+    return CsiRecording(np.abs(response), profile.subject_id, episode_seed)
 
 
 def record_dtype(t: int, s: int) -> np.dtype:
@@ -215,7 +214,8 @@ def render_dataset(profiles: list[SubjectProfile], scenario: ScenarioConfig,
                    codebook: Codebook, episodes_per_subject: int, base_seed: int) -> np.ndarray:
     """episodes_per_subject renders per profile, in profile order, seeded per
     episode, as `record_dtype` records; the static response is computed once.
-    Each render is cast to float32 as it lands, where an overflow reads inf."""
+    Each render's magnitudes are cast to float32 as they land, where an
+    overflow reads inf."""
     if episodes_per_subject < 1:
         raise ValueError("episodes_per_subject must be >= 1")
     static_fr = _static_response(scenario, codebook)
@@ -226,7 +226,7 @@ def render_dataset(profiles: list[SubjectProfile], scenario: ScenarioConfig,
     with np.errstate(over="ignore"):
         for record, (profile, seed) in zip(records, episodes):
             record["label"], record["episode_seed"] = profile.subject_id, seed
-            record["magnitudes"] = _render(profile, scenario, static_fr, seed)
+            np.abs(_render(profile, scenario, static_fr, seed), out=record["magnitudes"])
     return records
 
 

@@ -27,15 +27,15 @@ from trgr.rcnn.training import cross_entropy
 
 
 def dataset_records(frames, labels, seeds) -> np.ndarray:
-    """(N, T, S) frames as packed dataset records, each cast to float32 as
-    `render_dataset` casts a render into its record: beyond float32, inf."""
+    """(N, T, S) frames as packed dataset records, cast to float32 through a
+    ufunc's output as `render_dataset` casts a render into its record: beyond
+    float32, inf."""
     frames = np.asarray(frames)
     records = np.empty(len(frames), record_dtype(*frames.shape[1:]))
     records["label"] = list(labels)
     records["episode_seed"] = list(seeds)
     with np.errstate(over="ignore"):
-        for row, frame in zip(records["magnitudes"], frames):
-            row[...] = frame
+        np.positive(frames, out=records["magnitudes"])
     return records
 
 
