@@ -1,12 +1,11 @@
 """The benchmark's tracer patches package names by module and attribute, and
 its workloads call package functions directly; a deletion, rename or changed
 signature in the package must not leave one of them dangling."""
+import dataclasses
 import importlib
 import json
-from pathlib import Path
-
-import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest

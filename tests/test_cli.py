@@ -237,9 +237,9 @@ def test_desk_prepare_peaks_below_two_and_a_half_dataset_files(desk_out):
 
 
 def test_desk_render_and_save_peak_below_one_and_a_half_dataset_files(tmp_path):
-    # the record array is the file's body, and each render's float64 scratch
-    # is freed as its record lands; a float64 recording per episode, held
-    # until the save, peaked at twice the file
+    # the record array is the file's body, and each render's scratch is freed
+    # as its record lands; a float64 recording per episode, held until the
+    # save, peaked at twice the file
     cfg = load_config(DESK_CONFIG)
     codebook = trgr.cli._search(cfg)[1].best_codebook
     path = tmp_path / "dataset_ris_on.bin"
