@@ -131,19 +131,19 @@ class SubcarrierGrid:
         return CENTER_FREQUENCY_HZ - BANDWIDTH_HZ / 2.0 + k * BANDWIDTH_HZ / (self.count - 1)
 
 
-def _cascade(ris: RisChannel, codebook: Codebook) -> np.ndarray:
-    """Per-element gains ris_to_rx[n] e^{j theta_n} tx_to_ris[n]; the codebook
-    must have one bit per element of the surface."""
-    thetas = phase_matrix(codebook)
-    if thetas.shape[0] != ris.n_elements:
-        raise ValueError(f"codebook has {thetas.shape[0]} elements, RIS channel has {ris.n_elements}")
+def _cascade(ris: RisChannel, grids: np.ndarray) -> np.ndarray:
+    """Per-element gains ris_to_rx[n] e^{j theta_n} tx_to_ris[n] of each grid of a
+    (k, rows, cols) stack of 0/1 grids, each with one bit per surface element."""
+    thetas = phase_matrix(grids)
+    if thetas.shape[1] != ris.n_elements:
+        raise ValueError(f"codebook has {thetas.shape[1]} elements, RIS channel has {ris.n_elements}")
     return ris.ris_to_rx * np.exp(1j * thetas) * ris.tx_to_ris
 
 
 def combined_taps(direct: Taps, ris: RisChannel, codebook: Codebook) -> Taps:
     """Direct taps followed by one tap per RIS element under the given codebook,
     with the element's cascade gain and delay path_delays[n]."""
-    return Taps(np.concatenate([direct.gain, _cascade(ris, codebook)]),
+    return Taps(np.concatenate([direct.gain, _cascade(ris, codebook.grid[None])[0]]),
                 np.concatenate([direct.delay, ris.path_delays]))
 
 
@@ -157,14 +157,21 @@ def frequency_response(taps: Taps, grid: SubcarrierGrid) -> np.ndarray:
 
 def effective_gain(ris: RisChannel, codebook: Codebook) -> complex:
     """Narrowband effective channel h Phi H = sum_n ris_to_rx[n] e^{j theta_n} tx_to_ris[n]."""
-    return complex(np.sum(_cascade(ris, codebook)))
+    return complex(_cascade(ris, codebook.grid[None]).sum(axis=1)[0])
+
+
+def snr_stack(ris: RisChannel, grids: np.ndarray, noise: NoiseSpec) -> np.ndarray:
+    """rho per grid of a (k, rows, cols) stack; hypot and pow round it as abs(g) ** 2 does."""
+    if noise.variance == 0:
+        raise ValueError("SNR is undefined for zero noise variance")
+    g = _cascade(ris, grids).sum(axis=1)
+    with np.errstate(over="ignore"):  # an overflow is the inf the check below reports
+        rho = np.float_power(np.hypot(g.real, g.imag), 2.0) / noise.variance
+    if not np.all(np.isfinite(rho)):
+        raise ValueError(f"SNR |g|^2/sigma^2 is not finite at noise variance {noise.variance:g}")
+    return rho
 
 
 def snr(ris: RisChannel, codebook: Codebook, noise: NoiseSpec) -> float:
-    """rho = |h Phi H|^2 / sigma^2."""
-    if noise.variance == 0:
-        raise ValueError("SNR is undefined for zero noise variance")
-    rho = abs(effective_gain(ris, codebook)) ** 2 / noise.variance
-    if not math.isfinite(rho):
-        raise ValueError(f"SNR |g|^2/sigma^2 is not finite at noise variance {noise.variance:g}")
-    return rho
+    """rho = |h Phi H|^2 / sigma^2 of one codebook."""
+    return float(snr_stack(ris, codebook.grid[None], noise)[0])

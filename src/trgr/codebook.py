@@ -55,9 +55,9 @@ class Codebook:
         return "\n".join("".join(str(b) for b in row) for row in self.grid) + "\n"
 
 
-def phase_matrix(codebook: Codebook) -> np.ndarray:
-    """Per-element phase shifts theta_n = bit * pi, row-major, length N."""
-    return codebook.grid.reshape(-1).astype(np.float64) * np.pi
+def phase_matrix(grids: np.ndarray) -> np.ndarray:
+    """Phase shifts theta_n = bit * pi of each grid of a (k, rows, cols) stack, as (k, N)."""
+    return grids.reshape(len(grids), -1).astype(np.float64) * np.pi
 
 
 def line_flip(codebook: Codebook, kind: str, index: int) -> Codebook:

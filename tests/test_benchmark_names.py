@@ -13,7 +13,8 @@ import pytest
 import trgr.gait
 import trgr.pipeline
 import trgr.ris
-from trgr.channel import RisChannel
+import trgr.seeds
+from trgr.channel import NoiseSpec, RisChannel
 from trgr.cli import main
 from trgr.codebook import Codebook
 from trgr.config import load_config
@@ -72,6 +73,24 @@ def test_recordings_to_arrays_stacks_a_split(benchmarks_path):
     # stacked in the network's float32
     assert np.array_equal(frames[:, 0], [rec.magnitudes.astype(np.float32)
                                          for rec in split.train])
+
+
+def test_desk_synth_search_slice_runs():
+    # the calls of `DeskSynth.cycle`'s search slice, on one surface of every size
+    noise = NoiseSpec(variance=1.0)
+    for rows in range(1, 5):
+        for cols in range(1, 5):
+            n = rows * cols
+            rng = np.random.default_rng(trgr.seeds.mix_seeds(7, rows, cols, 0))
+            ris = RisChannel(rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                             rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                             np.full(n, 25e-9))
+            probe = trgr.ris.snr_probe(ris, noise)
+            trace = trgr.ris.optimize(probe, Codebook.zeros(rows, cols), 5)
+            best_cb, best = trgr.ris.brute_force(probe, rows, cols)
+            assert isinstance(best_cb, Codebook) and type(best) is float
+            assert best_cb.grid.shape == (rows, cols)
+            assert trace.best_strength - best <= 1e-9, (rows, cols)
 
 
 # a small stand-in for the workloads' configs: 3 subjects x 3 episodes of 150x128

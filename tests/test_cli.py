@@ -104,6 +104,24 @@ class TestOptimize:
         assert report["gap_to_brute_force"] >= -1e-9
         assert (out / "manifest_optimize.json").exists()
 
+    def test_twenty_elements_run_the_oracle(self, tmp_path):
+        out = tmp_path / "opt45"
+        cfg = write_config(tmp_path, out, scenario={"ris_rows": 4, "ris_cols": 5},
+                           optimizer={"outer_iters": 2})
+        assert main(["optimize", "--config", str(cfg)]) == 0
+        report = json.loads((out / "snr_report.json").read_text())
+        assert report["elements"] == 20
+        assert report["brute_force_strength"] >= report["snr_optimized"]
+
+    def test_past_twenty_elements_no_oracle_runs(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("trgr.cli.brute_force", _forbidden("brute_force"))
+        out = tmp_path / "opt37"
+        cfg = write_config(tmp_path, out, scenario={"ris_rows": 3, "ris_cols": 7})
+        assert main(["optimize", "--config", str(cfg)]) == 0
+        report = json.loads((out / "snr_report.json").read_text())
+        assert report["elements"] == 21
+        assert "brute_force_strength" not in report and "gap_to_brute_force" not in report
+
     def test_noisy_probe_passes(self, tmp_path):
         # under probe noise each visit re-measures, so accepted readings need
         # not increase; the monotonicity audit applies only to exact probes

@@ -104,15 +104,15 @@ class TestTextFormat:
 class TestPhaseMatrix:
     def test_bits_map_to_zero_and_pi_row_major(self):
         cb = Codebook(np.array([[0, 1], [1, 0]]))
-        assert phase_matrix(cb).tolist() == [0.0, math.pi, math.pi, 0.0]
+        assert phase_matrix(cb.grid[None]).tolist() == [[0.0, math.pi, math.pi, 0.0]]
 
     def test_unit_modulus_everywhere(self):
         rng = np.random.default_rng(5)
         cb = Codebook(rng.integers(0, 2, (4, 7), dtype=np.uint8))
-        assert np.allclose(np.abs(np.exp(1j * phase_matrix(cb))), 1.0)
+        assert np.allclose(np.abs(np.exp(1j * phase_matrix(cb.grid[None]))), 1.0)
 
     def test_length_matches_size(self):
-        assert phase_matrix(Codebook.zeros(3, 5)).shape == (15,)
+        assert phase_matrix(np.zeros((2, 3, 5), dtype=np.uint8)).shape == (2, 15)
 
 
 class TestLineFlip:
